@@ -92,9 +92,6 @@ class DesignMatrix:
     t: int
     cover: TupleCover | None = None
 
-    def row_support(self, i: int) -> list[int]:
-        return [j for (ri, j) in self.entries if ri == i]
-
     def to_matrix(self) -> Matrix:
         z = Fraction(0)
         data = [[z] * self.cols for _ in range(self.rows)]

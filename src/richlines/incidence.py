@@ -3,8 +3,10 @@
 Line enumeration groups all point pairs by an exact line key.  For a pair
 (p, q) the key is the sign-canonical primitive direction together with the
 translation invariant p_i * d_piv - p_piv * d_i, which is constant along
-the line; integer configurations get a pure-integer fast path and general
-configurations use field arithmetic.  Either way the grouping is exact.
+the line.  Rational configurations are keyed on their integer image
+(`pointsets.integer_coords`), from which each rich line is decoded
+directly, and progressions are stepped there too; Q(i) configurations,
+which have no integer image, use field-arithmetic keys and `canonical_line`.
 """
 
 from __future__ import annotations
@@ -24,22 +26,8 @@ from .geometry import (
     vsub,
 )
 from .linalg import Matrix
-from .pointsets import PointSet
+from .pointsets import PointSet, integer_coords
 from .scalars import sign_positive
-
-
-def _int_coords(ps: PointSet):
-    if ps.field != "Q":
-        return None
-    out = []
-    for p in ps.points:
-        row = []
-        for c in p:
-            if c.denominator != 1:
-                return None
-            row.append(c.numerator)
-        out.append(tuple(row))
-    return out
 
 
 def _int_pair_key(p, q, d):
@@ -99,6 +87,38 @@ def _group_pairs_int_2d(pts, groups):
                 bucket.append(j)
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _line_from_int_key(key, scales, idx) -> Line:
+    """Canonical line of V from the key (prim, inv) of its integer image.
+
+    With dp = prim[piv] > 0, undoing x_t -> s_t * x_t gives
+    direction_t = prim_t * s_piv / (s_t * dp) and base_t = inv_t / (s_t * dp).
+    A planar key (dx, dy, cross) has inv = (0, -cross) if dx else (cross, 0).
+    """
+    d = len(scales)
+    if d == 2:
+        dx, dy, cross = key
+        key = (dx, dy, 0, -cross) if dx else (0, dy, cross, 0)
+    prim, inv = key[:d], key[d:]
+    piv = 0
+    while prim[piv] == 0:
+        piv += 1
+    dp = prim[piv]
+    num = scales[piv]
+    direction = [_ZERO] * d
+    base = [_ZERO] * d
+    for t in range(d):
+        den = scales[t] * dp
+        if prim[t]:
+            direction[t] = Fraction(prim[t] * num, den) if t > piv else _ONE
+        if inv[t]:
+            base[t] = Fraction(inv[t], den)
+    return Line(tuple(direction), tuple(base), tuple(idx))
+
+
 def rich_lines(ps: PointSet, r: int) -> list[Line]:
     """All lines containing at least r points of V, with full incidence lists.
 
@@ -109,13 +129,13 @@ def rich_lines(ps: PointSet, r: int) -> list[Line]:
         raise ValueError("richness threshold must be at least 2")
     d = ps.dim
     n = len(ps)
-    ints = _int_coords(ps)
+    model = integer_coords(ps)
     groups: dict[tuple, list[int]] = {}
-    if ints is not None and d == 2:
-        _group_pairs_int_2d(ints, groups)
+    if model is not None and d == 2:
+        _group_pairs_int_2d(model[0], groups)
     else:
-        if ints is not None:
-            key_fn, pts = _int_pair_key, ints
+        if model is not None:
+            key_fn, pts = _int_pair_key, model[0]
         else:
             key_fn, pts = _field_pair_key, list(ps.points)
         for i in range(n):
@@ -129,28 +149,15 @@ def rich_lines(ps: PointSet, r: int) -> list[Line]:
                     bucket.append(i)
                     bucket.append(j)
     out = []
-    if ints is not None and d == 2:
-        for key, members in groups.items():
-            if len(members) < r * (r - 1):  # a k-point line has k(k-1) entries
-                continue
-            idx = sorted(set(members))
-            if len(idx) < r:
-                continue
-            dx, dy, cross = key
-            if dx:
-                direction = (Fraction(1), Fraction(dy, dx))
-                base = (Fraction(0), Fraction(-cross, dx))
-            else:
-                direction = (Fraction(0), Fraction(1))
-                base = (Fraction(cross, dy), Fraction(0))
-            out.append(Line(direction, base, tuple(idx)))
-    else:
-        for members in groups.values():
-            if len(members) < r * (r - 1):
-                continue
-            idx = sorted(set(members))
-            if len(idx) < r:
-                continue
+    for key, members in groups.items():
+        if len(members) < r * (r - 1):  # a k-point line has k(k-1) entries
+            continue
+        idx = sorted(set(members))
+        if len(idx) < r:
+            continue
+        if model is not None:
+            out.append(_line_from_int_key(key, model[1], idx))
+        else:
             line = canonical_line(ps.points[idx[0]], ps.points[idx[1]])
             out.append(line.with_points(idx))
     out.sort(key=lambda L: L.points)
@@ -219,31 +226,34 @@ def count_aps(ps: PointSet, r: int) -> tuple[int, list[APRecord]]:
     is canonicalized so its first nonzero coordinate is positive (positive
     real part, then positive imaginary part, in the Gaussian case).  Pairs
     (y, y+x) are scanned as the first two terms and the remaining terms are
-    membership-tested.
+    membership-tested.  Over Q the stepping and the membership tests run
+    on the integer image of V; records carry V's own coordinates.
     """
     if r < 2:
         raise ValueError("progression length must be at least 2")
     pts = ps.points
-    members = set(pts)
+    model = integer_coords(ps)
+    keys = pts if model is None else model[0]
+    members = set(keys)
     n = len(pts)
     records = []
     for i in range(n):
         for j in range(i + 1, n):
-            diff = vsub(pts[j], pts[i])
+            diff = vsub(keys[j], keys[i])
             first = next(c for c in diff if c != 0)
             if sign_positive(first):
-                start, step = pts[i], diff
+                lo, hi, step = i, j, diff
             else:
-                start, step = pts[j], tuple(-c for c in diff)
+                lo, hi, step = j, i, tuple(-c for c in diff)
             ok = True
-            cur = tuple(a + 2 * s for a, s in zip(start, step))
+            cur = tuple(a + 2 * s for a, s in zip(keys[lo], step))
             for _ in range(r - 2):
                 if cur not in members:
                     ok = False
                     break
                 cur = tuple(a + s for a, s in zip(cur, step))
             if ok:
-                records.append(APRecord(start, step, r))
+                records.append(APRecord(pts[lo], vsub(pts[hi], pts[lo]), r))
     return len(records), records
 
 

@@ -29,11 +29,6 @@ class Matrix:
         self._data = data
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return cls([[z] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 

@@ -2,32 +2,20 @@
 
 The line oracle is cubic: for every point pair it scans all other points
 for collinearity and emits a maximal collinear set once, keyed by its two
-lowest indices.  Coordinates are rescaled axis-by-axis to integers when
-possible (an invertible linear map, so collinearity is untouched), which
-keeps the oracle exact and fast enough for the n <= a-few-hundred audits.
+lowest indices.  Over Q it runs on the integer image of
+`pointsets.integer_coords` (an invertible per-axis scaling, so collinearity
+is untouched), which keeps it exact and fast enough for the
+n <= a-few-hundred audits; over Q(i), which has no integer image, the same
+cross-product test runs in field arithmetic.  The progression oracle stays
+on field arithmetic throughout, independent of that model.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
-from .pointsets import PointSet
+from .pointsets import PointSet, integer_coords
 
 
-def _integerized(ps: PointSet):
-    pts = ps.points
-    if ps.field != "Q":
-        return None
-    d = ps.dim
-    out = []
-    for axis in range(d):
-        denoms = [p[axis].denominator for p in pts]
-        m = lcm(*denoms)
-        out.append([int(p[axis] * m) for p in pts])
-    return [tuple(out[axis][i] for axis in range(d)) for i in range(len(pts))]
-
-
-def _collinear_int(p, q, s, d) -> bool:
+def _collinear(p, q, s, d) -> bool:
     for i in range(d):
         ui = q[i] - p[i]
         vi = s[i] - p[i]
@@ -37,25 +25,12 @@ def _collinear_int(p, q, s, d) -> bool:
     return True
 
 
-def _collinear_generic(p, q, s, d) -> bool:
-    u = [q[i] - p[i] for i in range(d)]
-    v = [s[i] - p[i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
-
-
 def collinear_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
     """Index sets of all maximal collinear groups of size >= r, by brute force."""
     if r < 2:
         raise ValueError("need r >= 2")
-    pts = _integerized(ps)
-    test = _collinear_int
-    if pts is None:
-        pts = list(ps.points)
-        test = _collinear_generic
+    model = integer_coords(ps)
+    pts = ps.points if model is None else model[0]
     n = len(pts)
     d = ps.dim
     groups: set[frozenset[int]] = set()
@@ -65,7 +40,7 @@ def collinear_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
             pj = pts[j]
             members = [i, j]
             for s in range(n):
-                if s != i and s != j and test(pi, pj, pts[s], d):
+                if s != i and s != j and _collinear(pi, pj, pts[s], d):
                     members.append(s)
             if len(members) < r:
                 continue

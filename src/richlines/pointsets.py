@@ -6,6 +6,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import Line, Point
 from .scalars import (
@@ -72,6 +73,26 @@ class PointSet:
             tuple(self.points[i] for i in idx),
             tuple(self.labels[i] for i in idx) if self.labels else None,
         )
+
+
+def integer_coords(ps: PointSet):
+    """Integer image of V under x_a -> s_a * x_a, with the scales (s_a).
+
+    s_a is the lcm of the denominators on axis a, so every image coordinate
+    is an integer.  The map is affine and invertible, so lines,
+    progressions and hyperplanes of V are those of the image, which lets
+    exact geometry run in integer arithmetic.  Q(i) input has no such image:
+    returns None.
+    """
+    if ps.field != FIELD_RATIONAL:
+        return None
+    pts = ps.points
+    scales = tuple(lcm(*(p[a].denominator for p in pts)) for a in range(ps.dim))
+    ints = [
+        tuple(c.numerator * (s // c.denominator) for c, s in zip(p, scales))
+        for p in pts
+    ]
+    return ints, scales
 
 
 def pointset_from(points, field: str | None = None, labels=None) -> PointSet:

@@ -205,20 +205,25 @@ def format_scalar(x: Scalar) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _ratio(num: str, den: str | None, s: str) -> Fraction:
+    if den is not None and int(den) == 0:
+        raise ValueError(f"zero denominator in scalar {s!r}")
+    return Fraction(int(num), int(den or 1))
+
+
 def parse_scalar(s: str, field: str = FIELD_RATIONAL) -> Scalar:
     s = s.strip()
     m = _GAUSS_RE.match(s)
     if m:
-        re_p = Fraction(int(m.group(1)), int(m.group(2)))
-        im_p = Fraction(int(m.group(3)), int(m.group(4)))
+        re_p = _ratio(m.group(1), m.group(2), s)
+        im_p = _ratio(m.group(3), m.group(4), s)
         g = GaussianRational(re_p, im_p)
         if field == FIELD_RATIONAL:
             return coerce(g, field)
         return g
     m = _RAT_RE.match(s)
     if m:
-        val = Fraction(int(m.group(1)), int(m.group(2) or 1))
-        return coerce(val, field)
+        return coerce(_ratio(m.group(1), m.group(2), s), field)
     raise ValueError(f"cannot parse scalar {s!r}")
 
 

@@ -33,6 +33,8 @@ def pointset_to_dict(ps: PointSet) -> dict:
 def pointset_from_dict(data: dict) -> PointSet:
     field = data.get("field", "Q")
     pts = tuple(parse_point(p, field) for p in data["points"])
+    if not pts:
+        raise ValueError("empty point set")
     labels = tuple(data["labels"]) if data.get("labels") else None
     return PointSet(int(data["dim"]), field, pts, labels)
 
@@ -133,12 +135,6 @@ def jsonable(value: Any) -> Any:
             items = sorted(items, key=repr)
         return [jsonable(v) for v in items]
     raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def dump_json(value: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(value), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def dumps_json(value: Any) -> str:

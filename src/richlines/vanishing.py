@@ -519,10 +519,11 @@ def ap_hyperplane(ps: PointSet, r: int, ell: int) -> APPipelineOutcome:
     if all(c == 0 for c in plane.normal[1:]):
         raise AssertionError("witness hyperplane is an index slice; pipeline bug")
 
-    first_coords = [lifted.points[i][0] for i in ex.subset]
+    # index_prefix lays {0..r-1} x V^ell out index-major, so a lifted
+    # point's slice is its position divided by |V^ell|.
     counts = {jj: 0 for jj in range(r)}
-    for c in first_coords:
-        counts[int(c)] += 1
+    for i in ex.subset:
+        counts[i // len(product)] += 1
     trace.slice_counts = counts
     slice_j = max(range(r), key=lambda jj: (counts[jj], -jj))
     trace.slice_index = slice_j

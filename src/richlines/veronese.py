@@ -231,13 +231,6 @@ def poly_from_coeff_vector(basis: MonomialBasis, vec) -> Polynomial:
     return Polynomial(basis.dim, dict(zip(basis.exponents, vec)))
 
 
-def inner_eval(vec, p: Point, r: int) -> Scalar:
-    """<w, veronese(p)> for a coefficient vector w in the degree-r basis."""
-    return sum(
-        (w * phi for w, phi in zip(vec, veronese_point(p, r))), Fraction(0)
-    )
-
-
 def schwartz_zippel_count(
     f: Polynomial, values, homogeneous_slice: bool = False
 ) -> int:

@@ -262,6 +262,22 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     assert main(["richlines", "--in", str(missing), "--r", "3"]) == 1
 
 
+def test_cli_zero_denominator_exit_code(tmp_path, capsys):
+    pts = tmp_path / "z.json"
+    for bad in ("1/0", "1/0+1/2*i", "1/2+1/0*i"):
+        pts.write_text(json.dumps({"dim": 1, "field": "Qi", "points": [["1/2"], [bad]]}))
+        assert main(["richlines", "--in", str(pts), "--r", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero denominator") and err.count("\n") == 1
+
+
+def test_cli_empty_point_set_exit_code(tmp_path, capsys):
+    pts = tmp_path / "empty.json"
+    pts.write_text(json.dumps({"dim": 2, "field": "Q", "points": []}))
+    assert main(["hyperplane", "--in", str(pts), "--r", "4"]) == 1
+    assert capsys.readouterr().err == "error: empty point set\n"
+
+
 def test_cli_size_cap_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RICHLINES_SIZE_CAP", "10")
     assert main(["gen", "--kind", "grid", "--d", "2", "--h", "4"]) == 1

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_integer_pointset
+from conftest import random_half_integer_pointset, random_integer_pointset
 from richlines.geometry import Line, canonical_line, collinear
 from richlines.incidence import (
     count_aps,
@@ -15,6 +15,7 @@ from richlines.oracle import ap_count_oracle, collinear_groups, rich_lines_match
 from richlines.pointsets import (
     cartesian_power,
     grid,
+    integer_coords,
     pointset_from,
 )
 from richlines.scalars import GaussianRational
@@ -122,6 +123,55 @@ def test_pair_lines_cover_every_pair_exactly_once(data):
     assert all(v == 1 for v in pair_hits.values())
 
 
+# -- integer model -----------------------------------------------------------
+
+
+def random_rational_image(rng, d: int, n: int, span: int):
+    """A random integer set under a random per-axis rational affine map."""
+    ps = random_integer_pointset(rng, d, n, span)
+    scale = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 8)) for _ in range(d)]
+    shift = [F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(d)]
+    return pointset_from(
+        [tuple(a * c + b for a, c, b in zip(scale, p, shift)) for p in ps.points]
+    )
+
+
+rational_points = st.integers(min_value=2, max_value=3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=8)] * d),
+        min_size=2,
+        max_size=12,
+        unique=True,
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_points)
+def test_integer_coords_is_a_per_axis_scaling(raw):
+    ps = pointset_from(raw)
+    ints, scales = integer_coords(ps)
+    assert all(isinstance(c, int) for p in ints for c in p)
+    for p, q in zip(ints, ps.points):
+        for a in range(ps.dim):
+            assert F(p[a], scales[a]) == q[a]
+
+
+def test_integer_coords_none_over_gaussian():
+    i = GaussianRational(F(0), F(1))
+    assert integer_coords(pointset_from([(i, F(1, 2)), (F(1), F(2))])) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_points, st.integers(min_value=2, max_value=3))
+def test_rich_lines_decode_to_canonical_lines(raw, r):
+    ps = pointset_from(raw)
+    for line in rich_lines(ps, r):
+        ref = canonical_line(ps.points[line.points[0]], ps.points[line.points[1]])
+        assert line.direction == ref.direction and line.base == ref.base
+        assert all(line.contains(ps.points[k]) for k in line.points)
+
+
 # -- rich lines --------------------------------------------------------------
 
 
@@ -163,9 +213,10 @@ def test_rich_lines_gaussian_coordinates():
 
 
 def test_rich_lines_match_oracle_on_random_sets(rng):
-    for trial in range(8):
+    makers = (random_integer_pointset, random_half_integer_pointset, random_rational_image)
+    for trial in range(12):
         d = 2 if trial % 2 == 0 else 3
-        ps = random_integer_pointset(rng, d, 25, span=5)
+        ps = makers[trial % 3](rng, d, 25, span=5)
         assert rich_lines_match_oracle(ps, 3)
 
 
@@ -244,10 +295,15 @@ def test_count_aps_interval():
 
 
 def test_count_aps_matches_oracle_2d(rng):
-    for _ in range(6):
-        ps = random_integer_pointset(rng, 2, 14, span=4)
+    makers = (random_integer_pointset, random_half_integer_pointset, random_rational_image)
+    for trial in range(12):
+        d = 2 if trial % 2 == 0 else 3
+        ps = makers[trial % 3](rng, d, 14, span=4)
+        members = set(ps.points)
         for r in (3, 4):
-            assert count_aps(ps, r)[0] == ap_count_oracle(ps, r)
+            count, records = count_aps(ps, r)
+            assert count == ap_count_oracle(ps, r)
+            assert all(set(rec.terms()) <= members for rec in records)
 
 
 def test_count_aps_pairs():

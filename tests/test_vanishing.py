@@ -335,6 +335,18 @@ def test_ap_pipeline_slice_consistency():
     assert tr.product_density is not None and tr.product_density > 0
 
 
+def test_ap_pipeline_gaussian_matches_rational():
+    # slices are read off lifted indices, never by converting a Q(i) scalar
+    from richlines.scalars import GaussianRational
+
+    gauss = pointset_from([(GaussianRational(F(2 * i + 1, 3), F(i)),) for i in range(5)])
+    rat = pointset_from([(F(2 * i + 1, 3),) for i in range(5)])
+    out_g, out_q = ap_hyperplane(gauss, 4, 2), ap_hyperplane(rat, 4, 2)
+    assert out_g.trace.outcome == out_q.trace.outcome == "hyperplane"
+    assert out_g.trace.slice_counts == out_q.trace.slice_counts
+    assert out_g.subset == out_q.subset
+
+
 def test_ap_pipeline_requires_r_at_least_4():
     with pytest.raises(ValueError):
         ap_hyperplane(grid(2, 3), 3, 1)

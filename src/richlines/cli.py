@@ -108,6 +108,20 @@ def _cmd_vanish(args) -> int:
     _emit(payload, args.out)
     if args.trace:
         _emit(payload, args.trace)
+    if args.mode == "lemma31":
+        b = cert.rank_bounds
+        failed = [
+            name
+            for name, ok in (
+                ("rank(A) >= n - n t q^2 / k", b.holds_columns),
+                ("rank(A) >= n - m t q^2 / k^2", b.holds_rows),
+                ("rank(A) + rank(M) <= n", b.rank_sum_ok),
+            )
+            if not ok
+        ]
+        if failed:
+            print(f"error: certificate bound fails: {'; '.join(failed)}", file=sys.stderr)
+            return 1
     return 0
 
 

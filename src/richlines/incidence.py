@@ -21,11 +21,12 @@ from .geometry import (
     Line,
     Point,
     canonical_line,
+    dot,
     hyperplane_through,
     make_hyperplane,
     vsub,
 )
-from .linalg import Matrix
+from .linalg import right_nullspace
 from .pointsets import PointSet, integer_coords
 from .scalars import sign_positive
 
@@ -283,38 +284,29 @@ def lift_progressions(ps: PointSet, r: int):
 
 
 def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
-    """Largest subset of V on one affine hyperplane, by exhaustive search.
+    """Largest subset of V on one affine hyperplane.
 
-    Scans all d-point subsets that span a hyperplane; if none spans (the
-    whole set is affinely degenerate) any hyperplane containing the affine
-    span is returned together with |V|.
+    Groups the d-point subsets that span a hyperplane by that canonical
+    hyperplane.  The points of V on a spanned plane H are exactly the union
+    of H's spanning subsets (by exchange, every point of V on H lies in an
+    affine basis of H drawn from V), so no plane is recounted against V.
+    Ties go to the plane spanned first in lexicographic subset order.  If
+    none spans (the whole set is affinely degenerate) a hyperplane
+    containing the affine span is returned together with |V|.
     """
     d = ps.dim
     pts = ps.points
-    n = len(pts)
     if d == 1:
         return 1, make_hyperplane((Fraction(1),), pts[0][0])
-    best: tuple[int, Hyperplane] | None = None
-    seen: set[tuple] = set()
-    if n >= d:
-        for combo in itertools.combinations(range(n), d):
-            plane = hyperplane_through([pts[i] for i in combo])
-            if plane is None:
-                continue
-            key = (plane.normal, plane.offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            count = sum(1 for p in pts if plane.contains(p))
-            if best is None or count > best[0]:
-                best = (count, plane)
-    if best is not None:
-        return best
+    planes: dict[Hyperplane, set[int]] = {}
+    for combo in itertools.combinations(range(len(pts)), d):
+        plane = hyperplane_through([pts[i] for i in combo])
+        if plane is not None:
+            planes.setdefault(plane, set()).update(combo)
+    if planes:
+        plane = max(planes, key=lambda H: len(planes[H]))
+        return len(planes[plane]), plane
     # Affinely degenerate: the span misses a full hyperplane, so take any
     # normal vector orthogonal to the span.
-    rows = [vsub(p, pts[0]) for p in pts[1:]]
-    kernel = Matrix(rows).right_nullspace() if rows else Matrix([[Fraction(0)] * d]).right_nullspace()
-    normal = kernel[0]
-    from .geometry import dot
-
-    return n, make_hyperplane(normal, dot(pts[0], normal))
+    normal = right_nullspace([vsub(p, pts[0]) for p in pts[1:]], d)[0]
+    return len(pts), make_hyperplane(normal, dot(pts[0], normal))

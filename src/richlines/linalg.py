@@ -28,10 +28,6 @@ class Matrix:
                 raise ValueError("ragged rows")
         self._data = data
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self._data[i]
 
@@ -49,19 +45,6 @@ class Matrix:
     def submatrix(self, row_idx, col_idx=None) -> "Matrix":
         cols = list(col_idx) if col_idx is not None else range(self.cols)
         return Matrix([[self._data[i][j] for j in cols] for i in row_idx])
-
-    def matvec(self, v) -> tuple[Scalar, ...]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0)) for r in self._data)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = list(zip(*other._data))
-        return Matrix(
-            [[sum((r[k] * c[k] for k in range(self.cols)), Fraction(0)) for c in ot] for r in self._data]
-        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._data for x in r)

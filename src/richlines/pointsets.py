@@ -33,10 +33,10 @@ def size_cap() -> int:
     return int(raw)
 
 
-def check_cap(n: int) -> None:
+def check_cap(n: int, what: str = "points") -> None:
     cap = size_cap()
     if n > cap:
-        raise SizeCapError(f"configuration of {n} points exceeds cap {cap}")
+        raise SizeCapError(f"configuration of {n} {what} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,20 @@ def sumproduct_config(A, Q, d: int) -> tuple[PointSet, list[Line]]:
     if not a_vals:
         raise ValueError("base set A must be nonempty")
 
-    pts: list[Point] = []
-    for t in q_vals:
-        sums = _sorted_scalars([a + t * b for a in a_vals for b in a_vals], field)
-        for combo in itertools.product(sums, repeat=d - 1):
-            pts.append((t,) + combo)
-    check_cap(len(pts))
-    ps = PointSet(d, field, tuple(pts))
+    slices = [
+        (t, _sorted_scalars([a + t * b for a in a_vals for b in a_vals], field))
+        for t in q_vals
+    ]
+    check_cap(sum(len(sums) ** (d - 1) for _, sums in slices))
+    pts = tuple(
+        (t,) + combo
+        for t, sums in slices
+        for combo in itertools.product(sums, repeat=d - 1)
+    )
+    ps = PointSet(d, field, pts)
     lookup = ps.index()
 
+    check_cap(len(a_vals) ** (2 * (d - 1)), "lines")
     lines = []
     for a_tail in itertools.product(a_vals, repeat=d - 1):
         base = (coerce(0, field),) + a_tail

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .designs import RankBoundReport, assemble_design, rank_bound_report
 from .geometry import Hyperplane, Line, dot, make_hyperplane
 from .incidence import IncidenceGraph, incidences, lift_progressions, rich_lines
-from .linalg import Matrix, right_nullspace
+from .linalg import right_nullspace
 from .pointsets import PointSet, cartesian_power, check_cap
 from .refinement import dyadic_partition, refine
 from .scalars import Scalar
@@ -209,11 +209,10 @@ def classify_flat_points(
         counts.append(len(incident))
         grad_val = tuple(g.evaluate(p) for g in grads)
         gradients.append(grad_val)
-        dirs = [list(line.direction) for line in incident]
-        rank = Matrix(dirs).rank() if dirs else 0
-        if rank <= d - 1:
+        kernel = right_nullspace([list(line.direction) for line in incident], d)
+        if kernel:
             labels.append(FLAT)
-            witnesses[i] = tuple(right_nullspace(dirs, d))
+            witnesses[i] = tuple(kernel)
         else:
             labels.append(JOINT)
             if any(c != 0 for c in grad_val):
@@ -383,22 +382,21 @@ def extract_hyperplane(
     trace.flat_points = report.labels.count(FLAT)
     trace.joint_points = report.labels.count(JOINT)
 
-    best = None  # (count, original index, hyperplane)
+    first_point: dict[Hyperplane, int] = {}  # witness plane -> first flat core point
     for pos, orig in enumerate(core_points):
         if report.labels[pos] != FLAT or report.incident_counts[pos] == 0:
             continue
         for normal in report.witness_normals[pos]:
             plane = make_hyperplane(normal, dot(sub_ps.points[pos], normal))
-            count = sum(1 for p in ps.points if plane.contains(p))
-            if best is None or count > best[0]:
-                best = (count, orig, plane)
-    if best is None:
+            first_point.setdefault(plane, orig)
+    if not first_point:
         trace.outcome = "no-flat-candidate"
         return ExtractionOutcome(None, (), f, trace)
 
-    count, chosen, plane = best
-    subset = tuple(plane.members(ps.points))
-    trace.chosen_point = chosen
+    members = {plane: plane.members(ps.points) for plane in first_point}
+    plane = max(members, key=lambda H: len(members[H]))
+    subset = tuple(members[plane])
+    trace.chosen_point = first_point[plane]
     trace.subset_size = len(subset)
     floor = (r0 - 1) * k0
     trace.subset_floor = floor

@@ -27,11 +27,6 @@ def monomial_count(d: int, r: int) -> int:
     return comb(d + r, d)
 
 
-def monomial_count_lower_bound_holds(d: int, r: int) -> bool:
-    # C(d+r, d) >= (r/d)^d, compared exactly.
-    return monomial_count(d, r) * Fraction(d) ** d >= Fraction(r) ** d
-
-
 def _exponents_of_degree(d: int, total: int):
     if d == 1:
         yield (total,)
@@ -173,23 +168,6 @@ class Polynomial:
         return Polynomial(
             self.dim, {e: c for e, c in self.terms.items() if sum(e) == top}
         )
-
-    def restrict_to_line(self, base: Point, direction: Point) -> list[Scalar]:
-        """Coefficients of g(t) = f(base + t*direction), low degree first."""
-        deg = self.degree()
-        samples = [self.evaluate(tuple(b + Fraction(t) * u for b, u in zip(base, direction))) for t in range(deg + 1)]
-        # Newton forward differences give exact polynomial coefficients, but a
-        # direct Vandermonde solve on deg+1 exact samples is simpler and small.
-        rows = [[Fraction(t) ** j for j in range(deg + 1)] for t in range(deg + 1)]
-        from .linalg import rref
-
-        aug = [row + [samples[i]] for i, row in enumerate(rows)]
-        reduced, pivots = rref(aug)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for i, pc in enumerate(pivots):
-            if pc < deg + 1:
-                coeffs[pc] = reduced[i][-1]
-        return coeffs
 
     def sorted_terms(self):
         degree_then_revlex = lambda e: (sum(e), tuple(-x for x in e))

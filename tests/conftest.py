@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from richlines.linalg import rref
 from richlines.pointsets import PointSet, pointset_from
 
 
@@ -42,6 +43,24 @@ def random_half_integer_pointset(rng: Random, d: int, n: int, span: int) -> Poin
         guard += 1
         pts.add(tuple(Fraction(rng.randint(0, 2 * span), 2) for _ in range(d)))
     return pointset_from(sorted(pts))
+
+
+def restrict_to_line(f, base, direction) -> list:
+    """Coefficients of g(t) = f(base + t*direction), low degree first.
+
+    Solves the Vandermonde system on deg(f)+1 exact samples.
+    """
+    deg = f.degree()
+    aug = [
+        [Fraction(t) ** j for j in range(deg + 1)]
+        + [f.evaluate(tuple(b + t * u for b, u in zip(base, direction)))]
+        for t in range(deg + 1)
+    ]
+    reduced, pivots = rref(aug)
+    coeffs = [Fraction(0)] * (deg + 1)
+    for i, pc in enumerate(pivots):
+        coeffs[pc] = reduced[i][-1]
+    return coeffs
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+import richlines.vanishing as vanishing
 from richlines.cli import main
 from richlines.harness import (
     ExperimentConfig,
@@ -166,6 +168,29 @@ def test_cli_vanish_modes(tmp_path, capsys):
     assert trace.exists()
 
 
+@pytest.mark.parametrize(
+    "field, bound",
+    [
+        ("holds_rows", "rank(A) >= n - m t q^2 / k^2"),
+        ("rank_sum_ok", "rank(A) + rank(M) <= n"),
+    ],
+)
+def test_cli_vanish_failed_certificate_exit_code(tmp_path, capsys, monkeypatch, field, bound):
+    real = vanishing.rank_bound_report
+    monkeypatch.setattr(
+        vanishing,
+        "rank_bound_report",
+        lambda A, M: dataclasses.replace(real(A, M), **{field: False}),
+    )
+    pts = tmp_path / "pts.json"
+    main(["gen", "--kind", "grid", "--d", "2", "--h", "3", "--out", str(pts)])
+    out = tmp_path / "out.json"
+    assert main(["vanish", "--in", str(pts), "--r", "3", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["certificate"]["rank_bounds"][field] is False
+    err = capsys.readouterr().err
+    assert err == f"error: certificate bound fails: {bound}\n"
+
+
 def test_cli_vanish_minimal_mode(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     main(["gen", "--kind", "grid", "--d", "1", "--h", "5", "--out", str(pts)])
@@ -249,6 +274,14 @@ def test_cli_gen_sumproduct_with_lines(tmp_path):
         == 0
     )
     assert len(json.loads(fam.read_text())) == 9
+
+
+def test_cli_gen_sumproduct_size_cap(monkeypatch, capsys):
+    monkeypatch.setenv("RICHLINES_SIZE_CAP", "100")
+    A = ",".join(str(a) for a in range(1, 11))
+    assert main(["gen", "--kind", "sumproduct", "--A", A, "--Q", "0", "--d", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: configuration of 10000 lines exceeds cap 100\n"
 
 
 def test_cli_usage_error_exit_code():

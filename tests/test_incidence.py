@@ -1,9 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_half_integer_pointset, random_integer_pointset
-from richlines.geometry import Line, canonical_line, collinear
+from richlines.geometry import (
+    Line,
+    canonical_line,
+    collinear,
+    dot,
+    hyperplane_through,
+    make_hyperplane,
+    vsub,
+)
 from richlines.incidence import (
     count_aps,
     incidences,
@@ -11,6 +20,7 @@ from richlines.incidence import (
     max_hyperplane_subset,
     rich_lines,
 )
+from richlines.linalg import right_nullspace
 from richlines.oracle import ap_count_oracle, collinear_groups, rich_lines_match_oracle
 from richlines.pointsets import (
     cartesian_power,
@@ -353,6 +363,75 @@ def test_max_hyperplane_grid():
     count, plane = max_hyperplane_subset(grid(2, 3))
     assert count == 3
     assert sum(1 for p in grid(2, 3).points if plane.contains(p)) == 3
+    # ties: the first spanned of the ten 4-point lines of grid(2,4)
+    assert max_hyperplane_subset(grid(2, 4)) == (4, make_hyperplane((F(1), F(0)), F(1)))
+
+
+def scan_max_hyperplane(ps):
+    """Reference plane search: every spanning d-subset, each new plane
+    recounted against all of V, the first strict maximum kept."""
+    d, pts = ps.dim, ps.points
+    best, seen = None, set()
+    for combo in itertools.combinations(range(len(pts)), d):
+        plane = hyperplane_through([pts[i] for i in combo])
+        if plane is None or plane in seen:
+            continue
+        seen.add(plane)
+        count = sum(1 for p in pts if plane.contains(p))
+        if best is None or count > best[0]:
+            best = (count, plane)
+    if best is None:
+        normal = right_nullspace([vsub(p, pts[0]) for p in pts[1:]], d)[0]
+        best = (len(pts), make_hyperplane(normal, dot(pts[0], normal)))
+    return best
+
+
+@st.composite
+def plane_search_inputs(draw):
+    """Integer, half-integer, rational-image, Q(i)-image and degenerate sets."""
+    kind = draw(st.sampled_from(["integer", "half", "rational", "gaussian", "line", "point"]))
+    d = 3 if kind == "line" else draw(st.integers(min_value=2, max_value=3))
+    small = st.integers(min_value=-3, max_value=3)
+    if kind == "point":
+        return pointset_from([tuple(F(draw(small)) for _ in range(d))])
+    if kind == "line":
+        base = [F(draw(small)) for _ in range(d)]
+        u = draw(st.tuples(small, small, small).filter(any))
+        ts = draw(st.lists(small, min_size=2, max_size=7, unique=True))
+        return pointset_from([tuple(b + t * c for b, c in zip(base, u)) for t in ts])
+    span = 6 if kind == "half" else 4
+    n = draw(st.integers(min_value=1, max_value=20))
+    raw = draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=span)] * d),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    pts = [tuple(F(c, 2 if kind == "half" else 1) for c in p) for p in raw]
+    if kind in ("rational", "gaussian"):
+        # x -> A x + b with A upper triangular and invertible
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        if kind == "gaussian":
+            entry = st.builds(GaussianRational, entry, entry)
+        diag = entry.filter(lambda c: c != 0)
+        A = [
+            [draw(diag) if j == i else draw(entry) if j > i else 0 for j in range(d)]
+            for i in range(d)
+        ]
+        b = [draw(entry) for _ in range(d)]
+        pts = [
+            tuple(sum((A[i][j] * p[j] for j in range(d)), b[i]) for i in range(d))
+            for p in pts
+        ]
+    return pointset_from(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plane_search_inputs())
+def test_max_hyperplane_matches_exhaustive_scan(ps):
+    assert max_hyperplane_subset(ps) == scan_max_hyperplane(ps)
 
 
 def test_max_hyperplane_general_position_3d():

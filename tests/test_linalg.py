@@ -11,8 +11,12 @@ from richlines.scalars import GaussianRational
 F = Fraction
 
 
+def _identity(n):
+    return Matrix([[F(int(i == j)) for j in range(n)] for i in range(n)])
+
+
 def test_rank_identity():
-    assert Matrix.identity(3).rank() == 3
+    assert _identity(3).rank() == 3
 
 
 def test_rank_proportional_rows():
@@ -38,7 +42,7 @@ def test_nullspace_single_equation():
 
 
 def test_nullspace_identity_empty():
-    assert Matrix.identity(4).right_nullspace() == []
+    assert _identity(4).right_nullspace() == []
 
 
 def test_left_nullspace_third_difference():
@@ -55,7 +59,7 @@ def test_nullspace_vectors_are_normalized_and_annihilated():
     for v in basis:
         first = next(c for c in v if c != 0)
         assert first == 1
-        assert all(x == 0 for x in M.matvec(v))
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in M.row_list())
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -116,15 +120,6 @@ def test_rank_plus_kernel_dimension():
         M = Matrix([[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)])
         assert M.rank() + len(M.right_nullspace()) == n
         assert M.rank() + len(M.left_nullspace()) == m
-
-
-def test_matmul_and_matvec():
-    A = Matrix([[F(1), F(2)], [F(0), F(1)]])
-    B = Matrix([[F(1), F(0)], [F(3), F(1)]])
-    assert A.matmul(B).row_list() == [[F(7), F(2)], [F(3), F(1)]]
-    assert A.matvec((F(1), F(1))) == (F(3), F(1))
-    with pytest.raises(ValueError):
-        A.matvec((F(1),))
 
 
 def test_nullspace_of_empty_row_list():

@@ -135,6 +135,16 @@ def test_sumproduct_zero_only_dilation():
     assert len(ps) == 9  # {0} x A^2
 
 
+def test_sumproduct_size_cap(monkeypatch):
+    monkeypatch.setenv("RICHLINES_SIZE_CAP", "100")
+    # 100 points fit the cap, their 10^4 family lines do not
+    with pytest.raises(SizeCapError, match="10000 lines"):
+        sumproduct_config(range(1, 11), [0], 3)
+    # 10^2 + 19^2 points, refused before any is built
+    with pytest.raises(SizeCapError, match="461 points"):
+        sumproduct_config(range(1, 11), [0, 1], 3)
+
+
 def test_sumproduct_requires_zero():
     with pytest.raises(ValueError):
         sumproduct_config([1, 2], [1, 2], 2)

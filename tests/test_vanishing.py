@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import circle_points, coordinate_planes_config
+from conftest import circle_points, coordinate_planes_config, restrict_to_line
 from richlines.geometry import make_hyperplane
 from richlines.incidence import max_hyperplane_subset, rich_lines
 from richlines.pointsets import grid, pasted_grids, pointset_from
@@ -174,6 +174,8 @@ def test_extract_pasted_grids_finds_full_copy():
     assert out.found
     assert len(out.subset) == 16
     assert out.hyperplane.normal == (F(0), F(0), F(1))
+    # ties: the x3 = 1 copy, witnessed first by point 0
+    assert out.hyperplane.offset == 1 and out.trace.chosen_point == 0
     best, _ = max_hyperplane_subset(ps)
     assert len(out.subset) == best
     assert out.trace.subset_floor_ok
@@ -184,6 +186,8 @@ def test_extract_planar_grid_returns_richest_line():
     out = extract_hyperplane(ps, 4)
     assert out.found
     assert len(out.subset) == 4 == max_hyperplane_subset(ps)[0]
+    # ties: the main diagonal x1 = x2 among the ten 4-point lines
+    assert out.hyperplane == make_hyperplane((F(1), F(-1)), F(0))
 
 
 def test_extract_general_position_absent():
@@ -364,7 +368,7 @@ def test_sumproduct_family_leading_form_zeros():
     assert cert.rank_deficient and f is not None
     top = f.homogeneous_part()
     for line in family:
-        coeffs = f.restrict_to_line(line.base, line.direction)
+        coeffs = restrict_to_line(f, line.base, line.direction)
         assert all(c == 0 for c in coeffs)
         assert top.evaluate(line.direction) == 0
     slopes = [F(1)]

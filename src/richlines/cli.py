@@ -92,6 +92,9 @@ def _cmd_apcount(args) -> int:
 def _cmd_vanish(args) -> int:
     from .vanishing import certified_vanishing_poly, find_vanishing_poly
 
+    if args.mode == "minimal" and args.trace:
+        print("vanish --trace needs --mode lemma31", file=sys.stderr)
+        return 2
     ps = _load_points(args.infile)
     if args.mode == "minimal":
         f = find_vanishing_poly(ps, args.r - 2)
@@ -107,7 +110,7 @@ def _cmd_vanish(args) -> int:
         }
     _emit(payload, args.out)
     if args.trace:
-        _emit(payload, args.trace)
+        _emit(cert, args.trace)
     if args.mode == "lemma31":
         b = cert.rank_bounds
         failed = [
@@ -206,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--mode", choices=["lemma31", "minimal"], default="lemma31")
-    p.add_argument("--trace", help="also write the result to this JSON file")
+    p.add_argument("--trace", help="also write the design certificate to this JSON file")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_vanish)
 

@@ -11,6 +11,8 @@ points.  Support statistics (q, k, t) of A then feed exact rank bounds.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -119,25 +121,20 @@ def measure_design_params(
     rows: int, cols: int, entries: dict[tuple[int, int], Scalar]
 ) -> tuple[int, int, int]:
     """Measured (q, k, t): max row support, min column support, max pairwise
-    column support intersection."""
-    row_supp = [0] * rows
-    col_supp: list[set[int]] = [set() for _ in range(cols)]
+    column support intersection, counted as column pairs per row support."""
+    row_supp: list[list[int]] = [[] for _ in range(rows)]
+    col_count = [0] * cols
     for (i, j), v in entries.items():
         if v == 0:
             continue
-        row_supp[i] += 1
-        col_supp[j].add(i)
-    q = max(row_supp, default=0)
-    k = min((len(s) for s in col_supp), default=0)
-    t = 0
-    for j1 in range(cols):
-        s1 = col_supp[j1]
-        if not s1:
-            continue
-        for j2 in range(j1 + 1, cols):
-            inter = len(s1 & col_supp[j2])
-            if inter > t:
-                t = inter
+        row_supp[i].append(j)
+        col_count[j] += 1
+    pairs = Counter()
+    for supp in row_supp:
+        pairs.update(itertools.combinations(sorted(supp), 2))
+    q = max((len(s) for s in row_supp), default=0)
+    k = min(col_count, default=0)
+    t = max(pairs.values(), default=0)
     return q, k, t
 
 

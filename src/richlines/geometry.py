@@ -129,18 +129,31 @@ def make_hyperplane(normal: Point, offset: Scalar) -> Hyperplane:
     return Hyperplane(tuple(c / scale for c in normal), offset / scale)
 
 
-def hyperplane_through(points: list[Point]) -> Hyperplane | None:
-    """Hyperplane through d affinely independent points of C^d, else None."""
-    from .linalg import Matrix
+def _det(m) -> Scalar:
+    """Determinant of a nonempty square matrix by cofactor expansion along
+    its first row, skipping zero entries."""
+    if len(m) == 1:
+        return m[0][0]
+    total = m[0][0] * 0
+    for j, a in enumerate(m[0]):
+        if a != 0:
+            term = a * _det([r[:j] + r[j + 1 :] for r in m[1:]])
+            total = total - term if j & 1 else total + term
+    return total
 
-    d = len(points[0])
-    if len(points) != d:
-        raise ValueError("need exactly d points to span a hyperplane")
-    if d == 1:
-        return make_hyperplane((Fraction(1),), points[0][0])
-    rows = [vsub(p, points[0]) for p in points[1:]]
-    kernel = Matrix(rows).right_nullspace()
-    if len(kernel) != 1:
-        return None  # affinely dependent sample
-    normal = kernel[0]
-    return make_hyperplane(normal, dot(points[0], normal))
+
+def plane_normal(points) -> Point:
+    """Normal of the affine span of d >= 2 points of C^d, zero iff they are
+    affinely dependent.
+
+    It is the generalized cross product of the rows p_k - p_0: entry j is
+    (-1)^j times the minor that omits column j.  Expanding the d x d matrix
+    that repeats row k on top shows the normal is orthogonal to every row.
+    """
+    p0 = points[0]
+    rows = [vsub(p, p0) for p in points[1:]]
+    normal = []
+    for j in range(len(p0)):
+        m = _det([r[:j] + r[j + 1 :] for r in rows])
+        normal.append(-m if j & 1 else m)
+    return tuple(normal)

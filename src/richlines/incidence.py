@@ -7,6 +7,9 @@ the line.  Rational configurations are keyed on their integer image
 (`pointsets.integer_coords`), from which each rich line is decoded
 directly, and progressions are stepped there too; Q(i) configurations,
 which have no integer image, use field-arithmetic keys and `canonical_line`.
+Hyperplanes are keyed alike, by the closed-form normal of a spanning
+d-subset: primitive and sign-canonical on the integer image, as a line's
+direction is, and the canonical `Hyperplane` over Q(i).
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .geometry import (
     Point,
     canonical_line,
     dot,
-    hyperplane_through,
     make_hyperplane,
+    plane_normal,
     vsub,
 )
 from .linalg import right_nullspace
@@ -31,17 +34,20 @@ from .pointsets import PointSet, integer_coords
 from .scalars import sign_positive
 
 
-def _int_pair_key(p, q, d):
-    diff = [q[t] - p[t] for t in range(d)]
-    g = 0
-    for c in diff:
-        g = gcd(g, c)
+def _primitive(vec):
+    """A nonzero integer vector divided by the gcd of its entries, signed so
+    its first nonzero entry (returned with it) is positive."""
+    g = gcd(*vec)
     piv = 0
-    while diff[piv] == 0:
+    while vec[piv] == 0:
         piv += 1
-    if diff[piv] < 0:
+    if vec[piv] < 0:
         g = -g
-    prim = [c // g for c in diff]
+    return [c // g for c in vec], piv
+
+
+def _int_pair_key(p, q, d):
+    prim, piv = _primitive([q[t] - p[t] for t in range(d)])
     dp = prim[piv]
     pp = p[piv]
     inv = [p[t] * dp - pp * prim[t] for t in range(d)]
@@ -58,6 +64,24 @@ def _field_pair_key(p, q, d):
     pp = p[piv]
     base = [p[t] - pp * prim[t] for t in range(d)]
     return (*prim, *base)
+
+
+def _int_plane_key(points):
+    """Primitive sign-canonical normal and offset of the plane spanned by d
+    integer points, or None if they span no hyperplane."""
+    normal = plane_normal(points)
+    if not any(normal):
+        return None
+    prim, _ = _primitive(normal)
+    return (*prim, sum(a * b for a, b in zip(prim, points[0])))
+
+
+def _field_plane_key(points) -> Hyperplane | None:
+    """Canonical hyperplane spanned by d points, or None if they span none."""
+    normal = plane_normal(points)
+    if not any(normal):
+        return None
+    return make_hyperplane(normal, dot(points[0], normal))
 
 
 def _group_pairs_int_2d(pts, groups):
@@ -286,10 +310,11 @@ def lift_progressions(ps: PointSet, r: int):
 def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
     """Largest subset of V on one affine hyperplane.
 
-    Groups the d-point subsets that span a hyperplane by that canonical
-    hyperplane.  The points of V on a spanned plane H are exactly the union
-    of H's spanning subsets (by exchange, every point of V on H lies in an
-    affine basis of H drawn from V), so no plane is recounted against V.
+    Groups the d-point subsets that span a hyperplane by the key of that
+    hyperplane (see the module docstring).  The points of V on a spanned
+    plane H are exactly the union of H's spanning subsets (by exchange,
+    every point of V on H lies in an affine basis of H drawn from V), so no
+    plane is recounted against V; the winner is built from its first one.
     Ties go to the plane spanned first in lexicographic subset order.  If
     none spans (the whole set is affinely degenerate) a hyperplane
     containing the affine span is returned together with |V|.
@@ -298,14 +323,19 @@ def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
     pts = ps.points
     if d == 1:
         return 1, make_hyperplane((Fraction(1),), pts[0][0])
-    planes: dict[Hyperplane, set[int]] = {}
+    model = integer_coords(ps)
+    if model is not None:
+        key_fn, keyed = _int_plane_key, model[0]
+    else:
+        key_fn, keyed = _field_plane_key, pts
+    planes: dict = {}  # key -> (first spanning subset, union of spanning subsets)
     for combo in itertools.combinations(range(len(pts)), d):
-        plane = hyperplane_through([pts[i] for i in combo])
-        if plane is not None:
-            planes.setdefault(plane, set()).update(combo)
+        key = key_fn([keyed[i] for i in combo])
+        if key is not None:
+            planes.setdefault(key, (combo, set()))[1].update(combo)
     if planes:
-        plane = max(planes, key=lambda H: len(planes[H]))
-        return len(planes[plane]), plane
+        combo, members = max(planes.values(), key=lambda v: len(v[1]))
+        return len(members), _field_plane_key([pts[i] for i in combo])
     # Affinely degenerate: the span misses a full hyperplane, so take any
     # normal vector orthogonal to the span.
     normal = right_nullspace([vsub(p, pts[0]) for p in pts[1:]], d)[0]

@@ -31,9 +31,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self._data[i]
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self._data[i][j]
-
     def row_list(self) -> list[list[Scalar]]:
         return [list(r) for r in self._data]
 
@@ -60,10 +57,6 @@ class Matrix:
 
     def rank(self) -> int:
         return bareiss_rank(self.row_list())
-
-    def rref(self) -> tuple["Matrix", list[int]]:
-        reduced, pivots = rref(self.row_list())
-        return Matrix(reduced) if reduced else Matrix([]), pivots
 
     def right_nullspace(self) -> list[tuple[Scalar, ...]]:
         return right_nullspace(self.row_list(), self.cols)
@@ -184,13 +177,6 @@ def right_nullspace(rows, cols: int) -> list[tuple[Scalar, ...]]:
     """
     if cols == 0:
         return []
-    if not rows:
-        basis = []
-        for j in range(cols):
-            v = [Fraction(0)] * cols
-            v[j] = Fraction(1)
-            basis.append(tuple(v))
-        return basis
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free_cols = [j for j in range(cols) if j not in pivot_set]

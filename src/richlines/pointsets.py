@@ -30,6 +30,8 @@ def size_cap() -> int:
     raw = os.environ.get(SIZE_CAP_ENV)
     if raw is None:
         return DEFAULT_SIZE_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{SIZE_CAP_ENV} must be a positive integer, got {raw!r}")
     return int(raw)
 
 

@@ -121,23 +121,8 @@ class GaussianRational:
 
 Scalar = Fraction | GaussianRational
 
-I = GaussianRational(Fraction(0), Fraction(1))
-
-
 def field_of(x: Scalar) -> str:
     return FIELD_GAUSSIAN if isinstance(x, GaussianRational) else FIELD_RATIONAL
-
-
-def zero(field: str = FIELD_RATIONAL) -> Scalar:
-    if field == FIELD_GAUSSIAN:
-        return GaussianRational(Fraction(0), Fraction(0))
-    return Fraction(0)
-
-
-def one(field: str = FIELD_RATIONAL) -> Scalar:
-    if field == FIELD_GAUSSIAN:
-        return GaussianRational(Fraction(1), Fraction(0))
-    return Fraction(1)
 
 
 def coerce(x, field: str = FIELD_RATIONAL) -> Scalar:
@@ -234,10 +219,6 @@ def parse_scalar_lenient(s: str) -> Scalar:
     if _RAT_RE.match(s):
         return parse_scalar(s, FIELD_RATIONAL)
     return parse_scalar(s, FIELD_GAUSSIAN)
-
-
-def format_point(p: tuple[Scalar, ...]) -> list[str]:
-    return [format_scalar(c) for c in p]
 
 
 def parse_point(coords, field: str) -> tuple[Scalar, ...]:

@@ -44,9 +44,6 @@ class MonomialBasis:
     max_degree: int
     exponents: tuple[tuple[int, ...], ...]
 
-    def index_of(self) -> dict[tuple[int, ...], int]:
-        return {e: i for i, e in enumerate(self.exponents)}
-
     def __len__(self):
         return len(self.exponents)
 
@@ -114,11 +111,6 @@ class Polynomial:
     def zero(cls, dim: int) -> "Polynomial":
         return cls(dim, {})
 
-    @classmethod
-    def variable(cls, dim: int, i: int) -> "Polynomial":
-        exp = tuple(int(j == i) for j in range(dim))
-        return cls(dim, {exp: Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -140,12 +132,6 @@ class Polynomial:
 
     def scale(self, c: Scalar) -> "Polynomial":
         return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for e, v in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + v
-        return Polynomial(self.dim, out)
 
     def partial(self, i: int) -> "Polynomial":
         out = {}
@@ -172,15 +158,6 @@ class Polynomial:
     def sorted_terms(self):
         degree_then_revlex = lambda e: (sum(e), tuple(-x for x in e))
         return sorted(self.terms.items(), key=lambda kv: degree_then_revlex(kv[0]))
-
-    def coefficient_vector(self, basis: MonomialBasis) -> tuple[Scalar, ...]:
-        if basis.dim != self.dim or self.degree() > basis.max_degree:
-            raise ValueError("basis does not cover this polynomial")
-        idx = basis.index_of()
-        vec = [Fraction(0)] * len(basis)
-        for exp, coef in self.terms.items():
-            vec[idx[exp]] = coef
-        return tuple(vec)
 
     def __eq__(self, other):
         return (

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from richlines.designs import (
     DesignMatrix,
@@ -187,6 +189,40 @@ def test_params_identity():
 def test_params_all_ones():
     entries = {(i, j): F(1) for i in range(2) for j in range(2)}
     assert measure_design_params(2, 2, entries) == (2, 2, 2)
+
+
+def scan_design_params(rows, cols, entries):
+    """Reference (q, k, t): column supports as row sets, t by intersecting
+    every pair of columns."""
+    row_supp = [0] * rows
+    col_supp = [set() for _ in range(cols)]
+    for (i, j), v in entries.items():
+        if v != 0:
+            row_supp[i] += 1
+            col_supp[j].add(i)
+    t = max(
+        (len(a & b) for x, a in enumerate(col_supp) for b in col_supp[x + 1 :]),
+        default=0,
+    )
+    return max(row_supp, default=0), min((len(c) for c in col_supp), default=0), t
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse matrices with explicit zero entries and empty rows and columns."""
+    rows = draw(st.integers(min_value=0, max_value=8))
+    cols = draw(st.integers(min_value=0, max_value=8))
+    cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+    entries = {}
+    if rows and cols:
+        entries = draw(st.dictionaries(cells, st.integers(-2, 2).map(F), max_size=30))
+    return rows, cols, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_params_match_pairwise_scan(matrix):
+    assert measure_design_params(*matrix) == scan_design_params(*matrix)
 
 
 def test_verify_design_flags_mismatch():

@@ -165,7 +165,7 @@ def test_cli_vanish_modes(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["found"] is False
     assert payload["certificate"]["rank_m"] == 3
-    assert trace.exists()
+    assert json.loads(trace.read_text()) == payload["certificate"]
 
 
 @pytest.mark.parametrize(
@@ -199,6 +199,14 @@ def test_cli_vanish_minimal_mode(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     # five points of C^1 admit no vanishing polynomial of degree <= 2
     assert payload["found"] is False
+
+
+def test_cli_vanish_minimal_mode_rejects_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    argv = ["vanish", "--in", str(tmp_path / "missing.json"), "--r", "3"]
+    assert main(argv + ["--mode", "minimal", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == "vanish --trace needs --mode lemma31\n"
+    assert not trace.exists()
 
 
 def test_cli_hyperplane(tmp_path, capsys):
@@ -316,3 +324,11 @@ def test_cli_size_cap_env(tmp_path, monkeypatch, capsys):
     assert main(["gen", "--kind", "grid", "--d", "2", "--h", "4"]) == 1
     err = capsys.readouterr().err
     assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_cli_size_cap_env_must_be_positive(monkeypatch, capsys, raw):
+    monkeypatch.setenv("RICHLINES_SIZE_CAP", raw)
+    assert main(["gen", "--kind", "grid", "--d", "2", "--h", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: RICHLINES_SIZE_CAP must be a positive integer, got {raw!r}\n"

@@ -9,7 +9,6 @@ from richlines.geometry import (
     canonical_line,
     collinear,
     dot,
-    hyperplane_through,
     make_hyperplane,
     vsub,
 )
@@ -176,7 +175,9 @@ def test_integer_coords_none_over_gaussian():
 @given(rational_points, st.integers(min_value=2, max_value=3))
 def test_rich_lines_decode_to_canonical_lines(raw, r):
     ps = pointset_from(raw)
-    for line in rich_lines(ps, r):
+    lines = rich_lines(ps, r)
+    assert len(set(lines)) == len(lines)
+    for line in lines:
         ref = canonical_line(ps.points[line.points[0]], ps.points[line.points[1]])
         assert line.direction == ref.direction and line.base == ref.base
         assert all(line.contains(ps.points[k]) for k in line.points)
@@ -365,6 +366,21 @@ def test_max_hyperplane_grid():
     assert sum(1 for p in grid(2, 3).points if plane.contains(p)) == 3
     # ties: the first spanned of the ten 4-point lines of grid(2,4)
     assert max_hyperplane_subset(grid(2, 4)) == (4, make_hyperplane((F(1), F(0)), F(1)))
+    # y = 0 is spanned first, by (1,0),(0,0), whose normal points the other
+    # way from that of its later pairs with (2,0); x = 1 ties it after that
+    pts = [(F(1), F(0)), (F(0), F(0)), (F(1), F(1)), (F(1), F(2)), (F(2), F(0))]
+    assert max_hyperplane_subset(pointset_from(pts)) == (3, make_hyperplane((F(0), F(1)), F(0)))
+
+
+def rref_hyperplane_through(points):
+    """Reference hyperplane through d points of C^d by an RREF kernel of the
+    rows p_k - p_0, or None if the points are affinely dependent."""
+    rows = [vsub(p, points[0]) for p in points[1:]]
+    kernel = right_nullspace(rows, len(points[0]))
+    if len(kernel) != 1:
+        return None
+    normal = kernel[0]
+    return make_hyperplane(normal, dot(points[0], normal))
 
 
 def scan_max_hyperplane(ps):
@@ -373,7 +389,7 @@ def scan_max_hyperplane(ps):
     d, pts = ps.dim, ps.points
     best, seen = None, set()
     for combo in itertools.combinations(range(len(pts)), d):
-        plane = hyperplane_through([pts[i] for i in combo])
+        plane = rref_hyperplane_through([pts[i] for i in combo])
         if plane is None or plane in seen:
             continue
         seen.add(plane)
@@ -388,9 +404,11 @@ def scan_max_hyperplane(ps):
 
 @st.composite
 def plane_search_inputs(draw):
-    """Integer, half-integer, rational-image, Q(i)-image and degenerate sets."""
-    kind = draw(st.sampled_from(["integer", "half", "rational", "gaussian", "line", "point"]))
-    d = 3 if kind == "line" else draw(st.integers(min_value=2, max_value=3))
+    """Integer, half-integer, rational-image, Q(i)-image, Cartesian-power and
+    degenerate sets in d = 2, 3, 4 (n <= 20, and n <= 10 for d = 4)."""
+    kinds = ["integer", "half", "rational", "gaussian", "power", "line", "point"]
+    kind = draw(st.sampled_from(kinds))
+    d = 3 if kind == "line" else draw(st.integers(min_value=2, max_value=4))
     small = st.integers(min_value=-3, max_value=3)
     if kind == "point":
         return pointset_from([tuple(F(draw(small)) for _ in range(d))])
@@ -399,8 +417,16 @@ def plane_search_inputs(draw):
         u = draw(st.tuples(small, small, small).filter(any))
         ts = draw(st.lists(small, min_size=2, max_size=7, unique=True))
         return pointset_from([tuple(b + t * c for b, c in zip(base, u)) for t in ts])
+    if kind == "power":
+        # V^ell for a base V in C^1 or C^2, at most 20 points (9 when d = 4)
+        d0, ell, size = draw(st.sampled_from([(1, 2, 4), (1, 3, 2), (2, 2, 3)]))
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        base = draw(
+            st.lists(st.tuples(*[coord] * d0), min_size=1, max_size=size, unique=True)
+        )
+        return cartesian_power(pointset_from(base), ell)
     span = 6 if kind == "half" else 4
-    n = draw(st.integers(min_value=1, max_value=20))
+    n = draw(st.integers(min_value=1, max_value=20 if d < 4 else 10))
     raw = draw(
         st.lists(
             st.tuples(*[st.integers(min_value=0, max_value=span)] * d),
@@ -428,7 +454,7 @@ def plane_search_inputs(draw):
     return pointset_from(pts)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(plane_search_inputs())
 def test_max_hyperplane_matches_exhaustive_scan(ps):
     assert max_hyperplane_subset(ps) == scan_max_hyperplane(ps)

@@ -9,7 +9,7 @@ from .designs import (
     tuple_cover,
     verify_design,
 )
-from .geometry import Hyperplane, Line, canonical_line, collinear, make_hyperplane
+from .geometry import Hyperplane, Line, canonical_line, make_hyperplane
 from .incidence import (
     IncidenceGraph,
     count_aps,

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .geometry import Line
-from .linalg import Matrix
-from .pointsets import PointSet, pointset_from
+from .geometry import Line, canonical_line
+from .linalg import Matrix, right_nullspace
+from .pointsets import PointSet
 from .scalars import Scalar, scalar_key
 from .veronese import veronese_matrix
 
@@ -43,23 +43,29 @@ def tuple_cover(line_points, r: int) -> list[tuple[int, ...]]:
 def dependency_coeffs(points, deg: int) -> tuple[Scalar, ...]:
     """Coefficients a with sum_j a_j * veronese(p_j, deg) = 0 for collinear input.
 
-    For r = deg + 2 distinct collinear points the left kernel of the
-    embedded matrix is exactly one dimensional with all entries nonzero;
-    anything else signals a bug (or non-collinear input, which is checked
-    first).  The result is scaled so its first entry is 1.
+    On the line through the points, p_j = base + t_j * direction, and every
+    monomial of degree <= deg restricts to a polynomial of degree <= deg in
+    t.  So the Veronese images are dependent with coefficients a exactly when
+    the moment-curve images (1, t_j, ..., t_j^deg) are: a spans the kernel of
+    the (deg+1) x r Vandermonde matrix in the t_j.  For r = deg + 2 distinct
+    parameters that kernel is one dimensional with all entries nonzero;
+    anything else signals a bug.  The result is scaled so its first entry is
+    1.  Non-collinear or repeated points and a wrong degree raise ValueError.
     """
-    from .geometry import collinear
-
     pts = [tuple(p) for p in points]
     r = len(pts)
-    if deg != r - 2:
-        raise ValueError("tuple of r points must use embedding degree r - 2")
-    for p in pts[2:]:
-        if not collinear(pts[0], pts[1], p):
-            raise ValueError("points are not collinear")
-    ps = pointset_from(pts)
-    M = veronese_matrix(ps, deg)
-    kernel = M.left_nullspace()
+    if deg < 0 or deg != r - 2:
+        raise ValueError("tuple of r >= 2 points must use embedding degree r - 2")
+    line = canonical_line(pts[0], pts[1])
+    if not all(line.contains(p) for p in pts[2:]):
+        raise ValueError("points are not collinear")
+    ts = [line.parameter_of(p) for p in pts]
+    if len(set(ts)) < r:
+        raise ValueError("repeated point in a collinear tuple")
+    # The constant row stays rational, like the Veronese matrix's constant
+    # column, so rows over Q(i) keep the scalar types they always had.
+    vandermonde = [[Fraction(1)] * r] + [[t**e for t in ts] for e in range(1, r - 1)]
+    kernel = right_nullspace(vandermonde, r)
     if len(kernel) != 1:
         raise ArithmeticError(
             f"expected a 1-dimensional dependency space, got {len(kernel)}"

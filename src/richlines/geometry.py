@@ -44,18 +44,6 @@ def pivot_index(vec: Point) -> int:
     raise ValueError("zero vector has no pivot")
 
 
-def collinear(p: Point, q: Point, s: Point) -> bool:
-    """Exact test that three points lie on one affine line."""
-    u = vsub(q, p)
-    v = vsub(s, p)
-    d = len(u)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class Line:
     """Canonical affine line, optionally carrying incident point indices.

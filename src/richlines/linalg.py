@@ -34,11 +34,6 @@ class Matrix:
     def row_list(self) -> list[list[Scalar]]:
         return [list(r) for r in self._data]
 
-    def transpose(self) -> "Matrix":
-        if self.rows == 0 or self.cols == 0:
-            return Matrix([[] for _ in range(self.cols)])
-        return Matrix(zip(*self._data))
-
     def submatrix(self, row_idx, col_idx=None) -> "Matrix":
         cols = list(col_idx) if col_idx is not None else range(self.cols)
         return Matrix([[self._data[i][j] for j in cols] for i in row_idx])
@@ -61,17 +56,12 @@ class Matrix:
     def right_nullspace(self) -> list[tuple[Scalar, ...]]:
         return right_nullspace(self.row_list(), self.cols)
 
-    def left_nullspace(self) -> list[tuple[Scalar, ...]]:
-        if self.rows == 0:
-            return []
-        return right_nullspace([list(c) for c in zip(*self._data)], self.rows)
-
 
 def _clear_denominators(rows):
     out = []
     for r in rows:
         m = lcm(*(x.denominator for x in r)) if r else 1
-        out.append([int(x * m) for x in r])
+        out.append([x.numerator * (m // x.denominator) for x in r])
     return out
 
 

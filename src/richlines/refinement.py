@@ -90,12 +90,6 @@ class DyadicPartition:
     j_star: int
     total_weight: int
 
-    @property
-    def witness_holds(self) -> bool:
-        # The selected band carries at least total/(2 j^2) incidences.
-        j = self.j_star
-        return 2 * j * j * self.group_weight[j] >= self.total_weight
-
 
 def dyadic_partition(point_ids, degrees, k: Fraction) -> DyadicPartition:
     """Band vertices by degree ranges [2^(j-1) k, 2^j k) and select a band.

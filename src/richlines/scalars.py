@@ -163,16 +163,6 @@ def sign_positive(x: Scalar) -> bool:
     return r > 0 or (r == 0 and i > 0)
 
 
-def canonical_sign_vector(vec: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    """Negate a nonzero vector if needed so its first nonzero entry is positive."""
-    for c in vec:
-        if c != 0:
-            if sign_positive(c):
-                return tuple(vec)
-            return tuple(-c for c in vec)
-    raise ValueError("zero vector has no canonical sign")
-
-
 # -- serialization -----------------------------------------------------------
 
 _RAT_RE = _re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -222,4 +212,15 @@ def parse_scalar_lenient(s: str) -> Scalar:
 
 
 def parse_point(coords, field: str) -> tuple[Scalar, ...]:
-    return tuple(parse_scalar(c, field) if isinstance(c, str) else coerce(c, field) for c in coords)
+    """Decode a JSON point: a list of scalar strings or integers."""
+    if not isinstance(coords, list):
+        raise ValueError(f"a point must be a list of coordinates, got {type(coords).__name__}")
+    return tuple(_parse_coordinate(c, field) for c in coords)
+
+
+def _parse_coordinate(c, field: str) -> Scalar:
+    if isinstance(c, str):
+        return parse_scalar(c, field)
+    if type(c) is int:
+        return coerce(c, field)
+    raise ValueError(f"a coordinate must be a scalar string or an integer, got {c!r}")

@@ -15,7 +15,7 @@ from typing import Any
 from .designs import DesignMatrix
 from .geometry import Hyperplane, Line
 from .pointsets import PointSet
-from .scalars import format_scalar, parse_point, parse_scalar
+from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, format_scalar, parse_point, parse_scalar
 from .veronese import Polynomial
 
 
@@ -30,13 +30,28 @@ def pointset_to_dict(ps: PointSet) -> dict:
     return out
 
 
-def pointset_from_dict(data: dict) -> PointSet:
-    field = data.get("field", "Q")
-    pts = tuple(parse_point(p, field) for p in data["points"])
-    if not pts:
+def pointset_from_dict(data) -> PointSet:
+    """Decode a point-set document; any malformed part raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a point set must be a JSON object, got {type(data).__name__}")
+    field = data.get("field", FIELD_RATIONAL)
+    if field not in (FIELD_RATIONAL, FIELD_GAUSSIAN):
+        raise ValueError(f"point set field must be 'Q' or 'Qi', got {field!r}")
+    dim = data.get("dim")
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"point set dim must be a positive integer, got {dim!r}")
+    points = data.get("points")
+    if not isinstance(points, list):
+        raise ValueError("point set points must be a list of points")
+    if not points:
         raise ValueError("empty point set")
-    labels = tuple(data["labels"]) if data.get("labels") else None
-    return PointSet(int(data["dim"]), field, pts, labels)
+    pts = tuple(parse_point(p, field) for p in points)
+    labels = data.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    ):
+        raise ValueError("point set labels must be a list of strings")
+    return PointSet(dim, field, pts, tuple(labels) if labels else None)
 
 
 def line_to_dict(line: Line) -> dict:

@@ -75,12 +75,6 @@ def _coordinate_powers(p: Point, max_degree: int):
     return powers
 
 
-def veronese_point(p: Point, r: int) -> tuple[Scalar, ...]:
-    basis = monomial_basis(len(p), r)
-    powers = _coordinate_powers(p, r)
-    return tuple(_eval_monomial(e, powers) for e in basis.exponents)
-
-
 def veronese_matrix(ps: PointSet, r: int) -> Matrix:
     """Row i is the degree-<=r monomial evaluation vector of point i."""
     basis = monomial_basis(ps.dim, r)
@@ -107,10 +101,6 @@ class Polynomial:
                 clean[exp] = coef
         self.terms = clean
 
-    @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -129,9 +119,6 @@ class Polynomial:
             (coef * _eval_monomial(exp, powers) for exp, coef in self.terms.items()),
             Fraction(0),
         )
-
-    def scale(self, c: Scalar) -> "Polynomial":
-        return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
 
     def partial(self, i: int) -> "Polynomial":
         out = {}

@@ -146,7 +146,7 @@ def test_criterion_06_circle_vanishing_polynomial():
         len(kernel) == 1
         and f is not None
         and f.degree() == 2
-        and f.scale(F(-25)) == target
+        and Polynomial(2, {e: -25 * c for e, c in f.terms.items()}) == target
         and all(f.evaluate(p) == 0 for p in ps.points)
     )
     report(

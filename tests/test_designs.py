@@ -17,8 +17,10 @@ from richlines.designs import (
     verify_design,
 )
 from richlines.incidence import rich_lines
+from richlines.linalg import right_nullspace
 from richlines.pointsets import grid, pointset_from
-from richlines.veronese import monomial_count
+from richlines.scalars import GaussianRational, format_scalar
+from richlines.veronese import monomial_count, veronese_matrix
 
 F = Fraction
 
@@ -122,6 +124,51 @@ def test_dependency_wrong_degree_rejected():
     pts = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]
     with pytest.raises(ValueError):
         dependency_coeffs(pts, 2)
+
+
+def test_dependency_rejects_repeated_points():
+    p, q = (F(0), F(1)), (F(2), F(3))
+    for pts in ([p, p, q], [p, q, p], [p, q, q, (F(4), F(5))]):
+        with pytest.raises(ValueError):
+            dependency_coeffs(pts, len(pts) - 2)
+    with pytest.raises(ValueError):
+        dependency_coeffs([p], -1)
+
+
+def veronese_left_kernel(pts, deg):
+    """Reference rows: the left kernel of the d-variate degree-deg Veronese
+    matrix of the points."""
+    M = veronese_matrix(pointset_from(pts), deg)
+    return right_nullspace([list(c) for c in zip(*M.row_list())], M.rows)
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+gaussian_scalars = st.builds(GaussianRational, small_fractions, small_fractions)
+
+
+@st.composite
+def collinear_tuples(draw):
+    """Collinear r-tuples over Q or Q(i) in d = 1..4, r = 2..6, with uneven
+    (and over Q(i) non-real) parameters of either sign."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(2, 6))
+    scalars = draw(st.sampled_from([small_fractions, gaussian_scalars]))
+    base = draw(st.lists(scalars, min_size=d, max_size=d))
+    direction = draw(st.lists(scalars, min_size=d, max_size=d).filter(any))
+    ts = draw(st.lists(scalars, min_size=r, max_size=r, unique=True))
+    pts = [tuple(b + t * u for b, u in zip(base, direction)) for t in ts]
+    # Coerce into one field the way a PointSet does.
+    return list(pointset_from(pts).points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(collinear_tuples())
+def test_dependency_rows_match_veronese_left_kernel(pts):
+    r = len(pts)
+    alpha = dependency_coeffs(pts, r - 2)
+    (ref,) = veronese_left_kernel(pts, r - 2)
+    assert alpha == ref
+    assert [format_scalar(a) for a in alpha] == [format_scalar(a) for a in ref]
 
 
 # -- assembly ----------------------------------------------------------------

@@ -1,8 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import richlines.vanishing as vanishing
 from richlines.cli import main
@@ -332,3 +338,83 @@ def test_cli_size_cap_env_must_be_positive(monkeypatch, capsys, raw):
     assert main(["gen", "--kind", "grid", "--d", "2", "--h", "1"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: RICHLINES_SIZE_CAP must be a positive integer, got {raw!r}\n"
+
+
+def test_cli_non_object_point_set_exit_code(tmp_path, capsys):
+    pts = tmp_path / "a.json"
+    pts.write_text(json.dumps([1, 2]))
+    assert main(["richlines", "--in", str(pts), "--r", "2"]) == 1
+    assert capsys.readouterr().err == "error: a point set must be a JSON object, got list\n"
+
+
+def test_cli_unknown_field_exit_code(tmp_path, capsys):
+    pts = tmp_path / "z.json"
+    pts.write_text(json.dumps({"dim": 2, "field": "Z", "points": [["0/1", "0/1"], ["1/1", "0/1"]]}))
+    assert main(["apcount", "--in", str(pts), "--r", "2"]) == 1
+    assert capsys.readouterr().err == "error: point set field must be 'Q' or 'Qi', got 'Z'\n"
+
+
+_VALID_DOC = {"dim": 2, "field": "Q", "points": [["0/1", "1/2"], ["1/1", "-3/1"], ["2/1", "0/1"]]}
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=True), st.text(max_size=6)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_not_scalar = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=True),
+    st.lists(_json_leaves, max_size=2), st.dictionaries(st.text(max_size=3), _json_leaves, max_size=2),
+    st.text(max_size=6).filter(lambda s: not s.strip().lstrip("-").replace("/", "", 1).isdecimal()),
+)
+
+
+def _with(key, value):
+    return {**_VALID_DOC, key: value}
+
+
+def _without(key):
+    return {k: v for k, v in _VALID_DOC.items() if k != key}
+
+
+def _replace_coordinate(value):
+    points = [list(p) for p in _VALID_DOC["points"]]
+    points[1][1] = value
+    return _with("points", points)
+
+
+_malformed_docs = st.one_of(
+    _json_values.filter(lambda v: not isinstance(v, dict)),  # wrong top-level type
+    st.sampled_from(["dim", "points"]).map(_without),
+    _json_values.filter(lambda v: type(v) is not int or v < 1).map(lambda v: _with("dim", v)),
+    st.integers(3, 5).map(lambda v: _with("dim", v)),  # points of the wrong dimension
+    _json_values.filter(lambda v: not isinstance(v, list) or v == [] or not all(
+        isinstance(p, list) for p in v
+    )).map(lambda v: _with("points", v)),
+    _json_values.filter(lambda v: v not in ("Q", "Qi")).map(lambda v: _with("field", v)),
+    st.lists(st.just("1/1"), min_size=0, max_size=4).filter(lambda p: len(p) != 2).map(
+        lambda p: _with("points", _VALID_DOC["points"][:2] + [p])  # ragged points
+    ),
+    _not_scalar.map(_replace_coordinate),
+    _json_values.filter(lambda v: v is not None and not (
+        isinstance(v, list) and all(isinstance(s, str) for s in v) and len(v) in (0, 3)
+    )).map(lambda v: _with("labels", v)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_docs)
+def test_cli_malformed_point_set_is_one_error_line(doc):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pts.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["richlines", "--in", path, "--r", "2"])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -7,7 +7,6 @@ from conftest import random_half_integer_pointset, random_integer_pointset
 from richlines.geometry import (
     Line,
     canonical_line,
-    collinear,
     dot,
     make_hyperplane,
     vsub,
@@ -70,8 +69,9 @@ def test_line_equality_ignores_incidence_lists():
 
 
 def test_collinear_predicate():
-    assert collinear((F(0), F(0)), (F(1), F(1)), (F(5), F(5)))
-    assert not collinear((F(0), F(0)), (F(1), F(1)), (F(1), F(2)))
+    line = canonical_line((F(0), F(0)), (F(1), F(1)))
+    assert line.contains((F(5), F(5)))
+    assert not line.contains((F(1), F(2)))
 
 
 from hypothesis import given, settings

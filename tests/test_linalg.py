@@ -15,6 +15,10 @@ def _identity(n):
     return Matrix([[F(int(i == j)) for j in range(n)] for i in range(n)])
 
 
+def _transpose(M):
+    return Matrix(zip(*M.row_list()))
+
+
 def test_rank_identity():
     assert _identity(3).rank() == 3
 
@@ -48,7 +52,7 @@ def test_nullspace_identity_empty():
 def test_left_nullspace_third_difference():
     # rows (1, t, t^2) for t = 0..3: the dependency is the third difference
     M = Matrix([[F(1), F(t), F(t * t)] for t in range(4)])
-    kernel = M.left_nullspace()
+    kernel = _transpose(M).right_nullspace()
     assert kernel == [(F(1), F(-3), F(3), F(-1))]
 
 
@@ -72,9 +76,13 @@ small_entries = st.integers(min_value=-6, max_value=6)
     st.data(),
 )
 def test_bareiss_agrees_with_rref(m, n, data):
-    rows = [
-        [F(data.draw(small_entries)) for _ in range(n)] for _ in range(m)
-    ]
+    # Fractional entries exercise each row's integer scaling, and appended
+    # combinations of the rows make the rank deficient.
+    fracs = st.fractions(-6, 6, max_denominator=6)
+    rows = [[data.draw(fracs) for _ in range(n)] for _ in range(m)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        cs = [data.draw(fracs) for _ in rows]
+        rows.append([sum((c * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(n)])
     assert bareiss_rank(rows) == rref_rank(rows)
 
 
@@ -96,7 +104,7 @@ def test_rank_equals_transpose_rank():
     for _ in range(25):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = Matrix([[F(rng.randint(-5, 5)) for _ in range(n)] for _ in range(m)])
-        assert M.rank() == M.transpose().rank()
+        assert M.rank() == _transpose(M).rank()
 
 
 def test_rank_invariant_under_permutation_and_scaling():
@@ -119,7 +127,7 @@ def test_rank_plus_kernel_dimension():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = Matrix([[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)])
         assert M.rank() + len(M.right_nullspace()) == n
-        assert M.rank() + len(M.left_nullspace()) == m
+        assert M.rank() + len(_transpose(M).right_nullspace()) == m
 
 
 def test_nullspace_of_empty_row_list():

@@ -114,7 +114,7 @@ def test_dyadic_all_equal_degrees():
     part = dyadic_partition([0, 1, 2], {0: 5, 1: 5, 2: 5}, F(5))
     assert part.groups == {1: (0, 1, 2)}
     assert part.j_star == 1
-    assert part.witness_holds
+    assert 2 * part.j_star**2 * part.group_weight[part.j_star] >= part.total_weight
 
 
 def test_dyadic_boundary_convention():
@@ -130,7 +130,7 @@ def test_dyadic_selects_heaviest_valid_band():
     # band 1 carries 20 incidences, band 3 carries 18
     assert part.group_weight == {1: 20, 3: 18}
     assert part.j_star == 1
-    assert part.witness_holds
+    assert 2 * part.j_star**2 * part.group_weight[part.j_star] >= part.total_weight
 
 
 def test_dyadic_witness_share():
@@ -162,4 +162,4 @@ def test_dyadic_groups_partition_input():
         for j, grp in part.groups.items():
             for v in grp:
                 assert 2 ** (j - 1) * k <= degrees[v] < 2**j * k
-        assert part.witness_holds
+        assert 2 * part.j_star**2 * part.group_weight[part.j_star] >= part.total_weight

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from richlines.designs import assemble_design
 from richlines.geometry import make_hyperplane
 from richlines.incidence import rich_lines
@@ -102,3 +104,37 @@ def test_removal_log_is_dumpable():
     res = refine(g)
     text = dumps_json(res)
     assert "removals" in text and "left_kept" in text
+
+
+def test_pointset_from_dict_rejects_non_object():
+    for doc in ([1, 2], "points", 3, None):
+        with pytest.raises(ValueError, match="JSON object"):
+            pointset_from_dict(doc)
+
+
+def test_pointset_from_dict_rejects_unknown_field():
+    data = pointset_to_dict(grid(2, 2))
+    data["field"] = "Z"
+    with pytest.raises(ValueError, match="field must be 'Q' or 'Qi'"):
+        pointset_from_dict(data)
+
+
+def test_pointset_from_dict_field_defaults_to_rational():
+    data = pointset_to_dict(grid(2, 2))
+    del data["field"]
+    assert pointset_from_dict(data) == grid(2, 2)
+
+
+@pytest.mark.parametrize(
+    "coord", [[1], {"re": 1}, None, True, 0.5, "1/2+", "one"]
+)
+def test_pointset_from_dict_rejects_non_scalar_coordinates(coord):
+    data = {"dim": 2, "field": "Q", "points": [["1/1", "2/1"], ["3/1", coord]]}
+    with pytest.raises(ValueError):
+        pointset_from_dict(data)
+
+
+def test_pointset_from_dict_accepts_integer_coordinates():
+    data = {"dim": 2, "field": "Qi", "points": [[1, "1/2+1/3*i"], [0, -2]]}
+    ps = pointset_from_dict(data)
+    assert ps.points[1] == (GaussianRational(F(0), F(0)), GaussianRational(F(-2), F(0)))

@@ -1,7 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import richlines.vanishing as vanishing
 from conftest import circle_points, coordinate_planes_config, restrict_to_line
 from richlines.geometry import make_hyperplane
 from richlines.incidence import max_hyperplane_subset, rich_lines
@@ -18,7 +22,13 @@ from richlines.vanishing import (
     hyperplane_from_product,
     hypothesis_constant,
 )
-from richlines.veronese import Polynomial, veronese_matrix
+from richlines.scalars import GaussianRational, format_scalar
+from richlines.veronese import (
+    Polynomial,
+    monomial_basis,
+    poly_from_coeff_vector,
+    veronese_matrix,
+)
 
 F = Fraction
 
@@ -30,7 +40,7 @@ def test_circle_polynomial_recovered():
     ps = circle_points()
     f = find_vanishing_poly(ps, 2)
     assert f is not None
-    assert f.scale(F(-25)) == Polynomial(
+    assert Polynomial(2, {e: -25 * c for e, c in f.terms.items()}) == Polynomial(
         2, {(2, 0): F(1), (0, 2): F(1), (0, 0): F(-25)}
     )
     assert all(f.evaluate(p) == 0 for p in ps.points)
@@ -60,6 +70,50 @@ def test_minimal_degree_is_minimal():
     assert f.degree() == 1  # the line itself, despite the higher allowance
 
 
+def per_degree_vanishing_poly(ps, max_deg):
+    """Reference search: one elimination per degree 0, 1, ..., max_deg."""
+    for deg in range(max_deg + 1):
+        kernel = veronese_matrix(ps, deg).right_nullspace()
+        if kernel:
+            return poly_from_coeff_vector(monomial_basis(ps.dim, deg), kernel[0])
+    return None
+
+
+coords = st.integers(-3, 3).map(F)
+
+
+@st.composite
+def vanishing_inputs(draw):
+    """Small point sets over Q or Q(i) in d = 1..3, free or forced onto a
+    hyperplane or onto two parallel hyperplanes, and a degree cap 0..3."""
+    d = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=12, unique=True))
+    kind = draw(st.sampled_from(["free", "plane", "two-planes"]))
+    if kind == "plane":
+        raw = {p[:-1] + (2 * p[0] - 1,) for p in raw} if d > 1 else {(F(1),)}
+    elif kind == "two-planes":
+        raw = {(p[0] % 2,) + p[1:] for p in raw}
+    pts = sorted(raw)
+    if draw(st.booleans()):
+        # An affine image in Q(i) keeps every vanishing degree.
+        a, b = GaussianRational(F(1), F(2)), GaussianRational(F(-1, 2), F(1))
+        pts = [tuple(a * c + b for c in p) for p in pts]
+    return pointset_from(pts), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vanishing_inputs())
+def test_single_elimination_matches_per_degree_search(case):
+    ps, max_deg = case
+    f = find_vanishing_poly(ps, max_deg)
+    ref = per_degree_vanishing_poly(ps, max_deg)
+    assert f == ref
+    if f is not None:
+        assert [(e, format_scalar(c)) for e, c in f.sorted_terms()] == [
+            (e, format_scalar(c)) for e, c in ref.sorted_terms()
+        ]
+
+
 # -- certified route ---------------------------------------------------------
 
 
@@ -83,6 +137,26 @@ def test_certified_points_on_one_line():
     assert all(f.evaluate(p) == 0 for p in ps.points)
     minimal = find_vanishing_poly(ps, 3)
     assert minimal is not None and minimal.degree() == 1
+
+
+@pytest.mark.parametrize(
+    "ps, r, rank_m",
+    [
+        # a kernel exists, but a full rank (10 cubic monomials) promises none
+        (pointset_from([(F(i), F(3 - i)) for i in range(10)]), 5, 10),
+        # no kernel exists, but a deficient rank (of 3) promises one
+        (grid(2, 3), 3, 2),
+    ],
+)
+def test_certified_rank_and_kernel_must_agree(monkeypatch, ps, r, rank_m):
+    real = vanishing.rank_bound_report
+
+    def skewed(A, M):
+        return dataclasses.replace(real(A, M), rank_m=rank_m)
+
+    monkeypatch.setattr(vanishing, "rank_bound_report", skewed)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        certified_vanishing_poly(ps, r)
 
 
 def test_certified_requires_lines():

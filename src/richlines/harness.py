@@ -58,35 +58,100 @@ class ExperimentConfig:
     out_csv: str | None = None
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
+    def from_dict(cls, data) -> "ExperimentConfig":
+        """Decode a sweep config; any malformed part raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a sweep config must be a JSON object, got {type(data).__name__}")
+        generator = _object(data.get("generator"), "generator")
+        r_values = data.get("r_values")
+        if not (isinstance(r_values, list) and r_values
+                and all(type(r) is int and r >= 2 for r in r_values)):
+            raise ValueError(f"r_values must be a nonempty list of integers >= 2, got {r_values!r}")
+        pipelines = data.get("pipelines", [])
+        if not (isinstance(pipelines, list) and all(
+                isinstance(p, str) and p in _PIPELINES for p in pipelines)):
+            raise ValueError(f"pipelines must be a list of names from {_PIPELINES}, got {pipelines!r}")
+        constants = _object(data.get("constants", {}), "constants")
+        for key, value in constants.items():
+            if key not in _CONSTANTS or not _is_ratio(value):
+                raise ValueError(f"constants must map {_CONSTANTS} to rational strings "
+                                 f"or integers, got {key!r}: {value!r}")
+        seed = data.get("seed", 0)
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        for key in ("out_json", "out_csv"):
+            if not isinstance(data.get(key), (str, type(None))):
+                raise ValueError(f"{key} must be a path, got {data[key]!r}")
         return cls(
-            generator=dict(data["generator"]),
-            r_values=[int(r) for r in data["r_values"]],
-            pipelines=list(data.get("pipelines", [])),
-            constants=dict(data.get("constants", {})),
-            seed=int(data.get("seed", 0)),
+            generator=dict(generator),
+            r_values=list(r_values),
+            pipelines=list(pipelines),
+            constants=dict(constants),
+            seed=seed,
             out_json=data.get("out_json"),
             out_csv=data.get("out_csv"),
         )
 
 
+_PIPELINES = ("progressions", "hyperplane", "vanish")
+_CONSTANTS = ("line_count_factor", "subset_factor")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _is_ratio(value) -> bool:
+    """An integer, or a string that Fraction reads as a finite rational."""
+    if type(value) is int:
+        return True
+    if not isinstance(value, str):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _size(gen: dict, key: str) -> int:
+    value = gen.get(key)
+    if type(value) is not int:
+        raise ValueError(f"generator {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _scalars(gen: dict, key: str) -> list:
+    values = gen.get(key)
+    if not (isinstance(values, list) and all(
+            isinstance(v, str) or type(v) is int for v in values)):
+        raise ValueError(f"generator {key!r} must be a list of scalar strings or integers, "
+                         f"got {values!r}")
+    return values
+
+
 def build_pointset(gen: dict) -> tuple[PointSet, list[Line] | None]:
-    """Materialize a generator description; sum-product configs also return lines."""
+    """Materialize a generator description; sum-product configs also return lines.
+
+    A malformed description raises ValueError, or KeyError without a kind.
+    """
     kind = gen["kind"]
     if kind == "grid":
-        return grid(int(gen["d"]), int(gen["h"])), None
+        return grid(_size(gen, "d"), _size(gen, "h")), None
     if kind == "pasted":
         return (
             pasted_grids(
-                int(gen["d"]), int(gen["ell"]), int(gen["copies"]), int(gen["h"])
+                _size(gen, "d"), _size(gen, "ell"), _size(gen, "copies"), _size(gen, "h")
             ),
             None,
         )
     if kind == "power":
-        base, _ = build_pointset(gen["base"])
-        return cartesian_power(base, int(gen["ell"])), None
+        base, _ = build_pointset(_object(gen.get("base"), "generator 'base'"))
+        return cartesian_power(base, _size(gen, "ell")), None
     if kind == "sumproduct":
-        ps, lines = sumproduct_config(gen["A"], gen["Q"], int(gen["d"]))
+        ps, lines = sumproduct_config(_scalars(gen, "A"), _scalars(gen, "Q"), _size(gen, "d"))
         return ps, lines
     if kind == "points":
         from .serialization import pointset_from_dict
@@ -140,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if sweep_values:
         for h in sweep_values:
             g = dict(gen)
-            g["h"] = int(h)
+            g["h"] = h
             instances.append(g)
     else:
         instances.append(gen)

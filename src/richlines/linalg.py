@@ -1,9 +1,12 @@
 """Exact linear algebra over Q and Q(i): rank, RREF, nullspaces.
 
-Rank uses fraction-free (Bareiss) elimination with a deterministic pivot
-rule (leftmost column, first row with a nonzero entry).  A separate
-reduced-row-echelon routine provides nullspaces and doubles as an
-independent rank oracle for cross checks.
+Rank uses fraction-free (Bareiss) elimination in integers with a
+deterministic pivot rule (leftmost column, first row with a nonzero entry):
+rational rows are scaled to integers, and a Q(i) matrix A + iB is first
+realified to [[A, -B], [B, A]], whose rank over Q is twice its rank over
+Q(i).  A separate reduced-row-echelon routine, ordinary Gauss-Jordan over
+the field, provides nullspaces and doubles as an independent rank oracle
+for cross checks.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .scalars import GaussianRational, Scalar
+from .scalars import GaussianRational, Scalar, imag_part, real_part
 
 
 class Matrix:
@@ -66,22 +69,29 @@ def _clear_denominators(rows):
 
 
 def bareiss_rank(rows) -> int:
-    """Rank by fraction-free elimination.
+    """Rank by fraction-free (Bareiss) elimination in integers.
 
-    Rational matrices are row-scaled to integers first (row scaling never
-    changes rank) so the whole elimination runs in machine-exact integer
-    arithmetic; Gaussian-rational matrices run the same recurrence in the
-    field, where every division is still exact.
+    A rational matrix is row-scaled to integers first (row scaling never
+    changes rank).  A Gaussian-rational matrix M = A + iB is realified: the
+    real matrix [[A, -B], [B, A]] represents M as a Q-linear map of twice
+    the dimensions, so its rank is twice the rank of M over Q(i).
     """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
     if not any(isinstance(x, GaussianRational) for r in rows for x in r):
-        return _bareiss_core(_clear_denominators(rows), integer=True)
-    return _bareiss_core(rows, integer=False)
+        return _bareiss_core(_clear_denominators(rows))
+    big = []
+    for r in rows:
+        re = [real_part(x) for x in r]
+        im = [imag_part(x) for x in r]
+        big.append(re + [-x for x in im])
+        big.append(im + re)
+    return _bareiss_core(_clear_denominators(big)) // 2
 
 
-def _bareiss_core(a, integer: bool) -> int:
+def _bareiss_core(a) -> int:
+    """Rank of an integer matrix; every division in the recurrence is exact."""
     m, n = len(a), len(a[0])
     prev = 1
     rank = 0
@@ -98,16 +108,12 @@ def _bareiss_core(a, integer: bool) -> int:
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
         p = a[rank][col]
+        ar = a[rank]
         for i in range(rank + 1, m):
             ai = a[i]
-            ar = a[rank]
             f = ai[col]
-            if integer:
-                for j in range(col, n):
-                    ai[j] = (p * ai[j] - f * ar[j]) // prev
-            else:
-                for j in range(col, n):
-                    ai[j] = (p * ai[j] - f * ar[j]) / prev
+            for j in range(col, n):
+                ai[j] = (p * ai[j] - f * ar[j]) // prev
         prev = p
         rank += 1
     return rank

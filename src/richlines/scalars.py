@@ -1,98 +1,104 @@
 """Exact field elements: rationals and Gaussian rationals.
 
-Plain rationals are ``fractions.Fraction``; the Gaussian field Q(i) gets a
-small immutable wrapper with the same operator surface, so every algorithm
-in the package works over either field by duck typing.  Coordinates never
-touch floating point.
+Plain rationals are ``fractions.Fraction``.  The Gaussian field Q(i) is the
+slotted, immutable ``GaussianRational``, whose two parts are always
+``Fraction``s.  Its operators take int, ``Fraction`` or ``GaussianRational``
+operands on either side, so every algorithm in the package works over either
+field by duck typing.  An operand is read as its (re, im) parts, never
+wrapped, results are built without coercing their parts again, and an
+operand with no imaginary part takes the rational shortcut.  Coordinates
+never touch floating point.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 
 FIELD_RATIONAL = "Q"
 FIELD_GAUSSIAN = "Qi"
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-@dataclass(frozen=True)
+
 class GaussianRational:
     """Element of Q(i) stored as exact real and imaginary rationals."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re, im):
+        _set_re(self, re if type(re) is Fraction else Fraction(re))
+        _set_im(self, im if type(im) is Fraction else Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "GaussianRational | None":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(Fraction(x), Fraction(0))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ore, oim = _parts(other)
+        if ore is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _new(self.re + ore, self.im + oim if oim else self.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ore, oim = _parts(other)
+        if ore is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _new(self.re - ore, self.im - oim if oim else self.im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ore, oim = _parts(other)
+        if ore is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _new(ore - self.re, oim - self.im if oim else -self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ore, oim = _parts(other)
+        if ore is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        re, im = self.re, self.im
+        if not oim:
+            return _new(re * ore, im * ore)
+        if not im:
+            return _new(re * ore, re * oim)
+        return _new(re * ore - im * oim, re * oim + im * ore)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ore, oim = _parts(other)
+        if ore is None:
             return NotImplemented
-        nrm = o.re * o.re + o.im * o.im
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / nrm,
-            (self.im * o.re - self.re * o.im) / nrm,
-        )
+        return _quotient(self.re, self.im, ore, oim)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ore, oim = _parts(other)
+        if ore is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return _quotient(ore, oim, self.re, self.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self.re, -self.im)
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if not self.im:
+            return _new(self.re**n, _ZERO)
         if n < 0:
-            return GaussianRational(Fraction(1), Fraction(0)) / self ** (-n)
-        out = GaussianRational(Fraction(1), Fraction(0))
+            p = self ** (-n)
+            return _quotient(_ONE, _ZERO, p.re, p.im)
+        out = _new(_ONE, _ZERO)
         base = self
         while n:
             if n & 1:
@@ -102,10 +108,10 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        ore, oim = _parts(other)
+        if ore is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.re == ore and self.im == oim
 
     def __hash__(self):
         if self.im == 0:
@@ -117,6 +123,37 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _new(re: Fraction, im: Fraction) -> GaussianRational:
+    """Build a GaussianRational from parts that are already Fractions."""
+    g = object.__new__(GaussianRational)
+    _set_re(g, re)
+    _set_im(g, im)
+    return g
+
+
+def _parts(x):
+    """(re, im) of an int, Fraction or GaussianRational; (None, None) otherwise."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    if isinstance(x, (int, Fraction)):
+        return x, 0
+    return None, None
+
+
+def _quotient(are, aim, bre, bim) -> GaussianRational:
+    """(are + aim*i) / (bre + bim*i); the parts of one side are Fractions."""
+    if not bim:
+        if not bre:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return _new(are / bre, aim / bre)
+    nrm = bre * bre + bim * bim
+    return _new((are * bre + aim * bim) / nrm, (aim * bre - are * bim) / nrm)
 
 
 Scalar = Fraction | GaussianRational
@@ -145,7 +182,7 @@ def real_part(x: Scalar) -> Fraction:
 
 
 def imag_part(x: Scalar) -> Fraction:
-    return x.im if isinstance(x, GaussianRational) else Fraction(0)
+    return x.im if isinstance(x, GaussianRational) else _ZERO
 
 
 def scalar_key(x: Scalar) -> tuple[Fraction, Fraction]:

@@ -418,3 +418,84 @@ def test_cli_malformed_point_set_is_one_error_line(doc):
     assert code == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_VALID_CFG = {"generator": {"kind": "grid", "d": 2, "h": 3}, "r_values": [3]}
+
+
+def _cfg_with(key, value):
+    return {**_VALID_CFG, key: value}
+
+
+def _gen_with(gen, key, value):
+    return _cfg_with("generator", {**gen, key: value})
+
+
+_not_int = _json_values.filter(lambda v: type(v) is not int)
+# not a size, nor a list of sizes (a list "h" sweeps over its values)
+_not_size = _not_int.filter(lambda v: not (
+    isinstance(v, list) and v and all(type(x) is int for x in v)
+))
+_sumproduct = {"kind": "sumproduct", "A": [1, 2], "Q": [0, 1], "d": 2}
+_generators = {
+    "grid": {"kind": "grid", "d": 2, "h": 3},
+    "pasted": {"kind": "pasted", "d": 3, "ell": 2, "copies": 2, "h": 2},
+    "power": {"kind": "power", "base": {"kind": "grid", "d": 1, "h": 2}, "ell": 2},
+}
+
+_malformed_cfgs = st.one_of(
+    _json_values.filter(lambda v: not isinstance(v, dict)),  # wrong top-level type
+    st.sampled_from(["generator", "r_values"]).map(
+        lambda k: {key: v for key, v in _VALID_CFG.items() if key != k}
+    ),
+    _json_values.filter(lambda v: not isinstance(v, dict)).map(lambda v: _cfg_with("generator", v)),
+    _json_values.filter(lambda v: not (
+        isinstance(v, list) and v and all(type(r) is int and r >= 2 for r in v)
+    )).map(lambda v: _cfg_with("r_values", v)),
+    st.just(_cfg_with("r_values", "34")),
+    _json_values.filter(lambda v: not (
+        isinstance(v, list) and all(p in ("progressions", "hyperplane", "vanish") for p in v)
+    )).map(lambda v: _cfg_with("pipelines", v)),
+    st.just(_cfg_with("pipelines", "progressions")),
+    _not_int.map(lambda v: _cfg_with("seed", v)),
+    _json_values.filter(lambda v: not isinstance(v, dict)).map(lambda v: _cfg_with("constants", v)),
+    st.tuples(st.sampled_from(["line_count_factor", "subset_factor", "other"]), _not_scalar).map(
+        lambda kv: _cfg_with("constants", {kv[0]: kv[1]})
+    ),
+    _json_values.filter(lambda v: v is not None and not isinstance(v, str)).flatmap(
+        lambda v: st.sampled_from(["out_json", "out_csv"]).map(lambda k: _cfg_with(k, v))
+    ),
+    # generator sizes: bools, floats, strings, lists and objects instead of integers
+    st.tuples(st.sampled_from(sorted(_generators)), _not_size).flatmap(
+        lambda t: st.sampled_from(sorted(k for k, v in _generators[t[0]].items() if type(v) is int))
+        .map(lambda k: _gen_with(_generators[t[0]], k, t[1]))
+    ),
+    st.just(_gen_with(_generators["grid"], "h", [[1]])),
+    st.just(_gen_with(_generators["grid"], "d", [2])),
+    st.lists(_not_int, min_size=1, max_size=3).map(lambda hs: _gen_with(_generators["grid"], "h", hs)),
+    _json_values.filter(lambda v: not isinstance(v, dict)).map(
+        lambda v: _gen_with(_generators["power"], "base", v)
+    ),
+    st.tuples(st.sampled_from(["A", "Q"]), _json_values.filter(lambda v: not (
+        isinstance(v, list) and all(isinstance(s, str) or type(s) is int for s in v)
+    ))).map(lambda kv: _gen_with(_sumproduct, kv[0], kv[1])),
+    _not_int.map(lambda v: _gen_with(_sumproduct, "d", v)),
+    _json_values.filter(lambda v: v not in ("grid", "pasted", "power", "sumproduct", "points")).map(
+        lambda v: _gen_with({}, "kind", v)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_cfgs)
+def test_cli_malformed_sweep_config_is_one_error_line(cfg):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["sweep", "--config", path])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

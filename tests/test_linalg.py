@@ -66,9 +66,6 @@ def test_nullspace_vectors_are_normalized_and_annihilated():
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in M.row_list())
 
 
-small_entries = st.integers(min_value=-6, max_value=6)
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
@@ -86,16 +83,25 @@ def test_bareiss_agrees_with_rref(m, n, data):
     assert bareiss_rank(rows) == rref_rank(rows)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=4), st.data())
-def test_bareiss_gaussian_agrees_with_rref(n, data):
-    rows = [
-        [
-            GaussianRational(F(data.draw(small_entries)), F(data.draw(small_entries)))
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+def test_bareiss_gaussian_agrees_with_rref(m, n, data):
+    # Rectangular Q(i) matrices mix Fraction and GaussianRational entries.
+    # Appended rows are combinations of the rows with non-real coefficients,
+    # so the rank over Q(i) drops while the real parts can stay independent:
+    # the realification must keep the sign in [[A, -B], [B, A]].
+    fracs = st.fractions(-6, 6, max_denominator=6)
+    entries = st.one_of(fracs, st.builds(GaussianRational, fracs, fracs))
+    rows = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
+    if all(type(x) is F for r in rows for x in r):
+        rows[0][0] = GaussianRational(rows[0][0], 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        cs = [GaussianRational(data.draw(fracs), data.draw(fracs.filter(bool))) for _ in rows]
+        rows.append([sum((c * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(n)])
     assert bareiss_rank(rows) == rref_rank(rows)
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -121,3 +123,117 @@ def test_scalar_key_orders_by_real_then_imaginary():
     b = GaussianRational(Fraction(1), Fraction(2))
     c = GaussianRational(Fraction(0), Fraction(100))
     assert sorted([b, a, c], key=scalar_key) == [c, a, b]
+
+
+# -- differential check of every operator against (re, im) Fraction pairs ----
+
+operands = st.one_of(st.integers(-6, 6), fractions, gaussians)
+
+
+def _pair(x):
+    return (x.re, x.im) if isinstance(x, GaussianRational) else (Fraction(x), Fraction(0))
+
+
+def _pair_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _pair_div(a, b):
+    nrm = b[0] * b[0] + b[1] * b[1]
+    if nrm == 0:
+        return None
+    return ((a[0] * b[0] + a[1] * b[1]) / nrm, (a[1] * b[0] - a[0] * b[1]) / nrm)
+
+
+def _pair_pow(a, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = _pair_mul(out, a)
+    return out if n >= 0 else _pair_div((Fraction(1), Fraction(0)), out)
+
+
+def _assert_gaussian(x, want):
+    assert type(x) is GaussianRational
+    assert type(x.re) is type(x.im) is Fraction
+    assert (x.re, x.im) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(gaussians, operands, st.booleans())
+def test_operators_match_pair_reference(g, other, swap):
+    a, b = (other, g) if swap else (g, other)
+    pa, pb = _pair(a), _pair(b)
+    _assert_gaussian(a + b, (pa[0] + pb[0], pa[1] + pb[1]))
+    _assert_gaussian(a - b, (pa[0] - pb[0], pa[1] - pb[1]))
+    _assert_gaussian(a * b, _pair_mul(pa, pb))
+    want = _pair_div(pa, pb)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        _assert_gaussian(a / b, want)
+    _assert_gaussian(-g, (-g.re, -g.im))
+    assert (a == b) is (pa == pb)
+    assert (a != b) is (pa != pb)
+    if pa == pb:
+        assert hash(a) == hash(b)
+    assert bool(g) is (_pair(g) != (0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussians, st.integers(-4, 5))
+def test_power_matches_pair_reference(g, n):
+    want = _pair_pow(_pair(g), n) if g or n >= 0 else None
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            g**n
+    else:
+        _assert_gaussian(g**n, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractions)
+def test_real_gaussian_hashes_like_its_rational(q):
+    g = GaussianRational(q, 0)
+    assert hash(g) == hash(q)
+    assert g in {q} and q in {g}
+    assert {q: "q"}[g] == "q" and {g: "g"}[q] == "g"
+    assert len({q, g}) == 1
+    if q.denominator == 1:
+        assert q.numerator in {g} and g in {q.numerator}
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), GaussianRational(0, 0)])
+def test_division_by_zero_raises(zero):
+    for num in (GaussianRational(1, 2), Fraction(3), 1):
+        if isinstance(num, GaussianRational) or isinstance(zero, GaussianRational):
+            with pytest.raises(ZeroDivisionError):
+                num / zero
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(0, 0) ** -1
+
+
+def test_gaussian_is_immutable():
+    g = GaussianRational(1, 2)
+    with pytest.raises(AttributeError):
+        g.re = Fraction(5)
+    with pytest.raises(AttributeError):
+        g.im = Fraction(5)
+    with pytest.raises(AttributeError):
+        del g.re
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert (g.re, g.im) == (Fraction(1), Fraction(2))
+
+
+def test_constructor_coerces_to_fractions():
+    g = GaussianRational(1, "3/4")
+    assert type(g.re) is type(g.im) is Fraction
+    assert g == GaussianRational(Fraction(1), Fraction(3, 4))
+    assert repr(g) == "GaussianRational(Fraction(1, 1), Fraction(3, 4))"
+
+
+def test_gaussian_survives_copy_and_pickle():
+    g = GaussianRational(Fraction(1, 2), Fraction(-3))
+    for back in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(back) is GaussianRational and (back.re, back.im) == (g.re, g.im)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from random import Random
 
@@ -62,6 +62,7 @@ class ExperimentConfig:
         """Decode a sweep config; any malformed part raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"a sweep config must be a JSON object, got {type(data).__name__}")
+        _known_keys(data, [f.name for f in fields(cls)], "sweep config")
         generator = _object(data.get("generator"), "generator")
         r_values = data.get("r_values")
         if not (isinstance(r_values, list) and r_values
@@ -95,6 +96,21 @@ class ExperimentConfig:
 
 _PIPELINES = ("progressions", "hyperplane", "vanish")
 _CONSTANTS = ("line_count_factor", "subset_factor")
+
+
+_GENERATOR_KEYS = {
+    "grid": ("d", "h"),
+    "pasted": ("d", "ell", "copies", "h"),
+    "power": ("base", "ell"),
+    "sumproduct": ("A", "Q", "d"),
+    "points": ("data",),
+}
+
+
+def _known_keys(obj: dict, known, what: str) -> None:
+    unknown = sorted(set(obj) - {*known})
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}, expected some of {sorted(known)}")
 
 
 def _object(value, what: str) -> dict:
@@ -138,6 +154,9 @@ def build_pointset(gen: dict) -> tuple[PointSet, list[Line] | None]:
     A malformed description raises ValueError, or KeyError without a kind.
     """
     kind = gen["kind"]
+    if not (isinstance(kind, str) and kind in _GENERATOR_KEYS):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    _known_keys(gen, ("kind", *_GENERATOR_KEYS[kind]), f"{kind} generator")
     if kind == "grid":
         return grid(_size(gen, "d"), _size(gen, "h")), None
     if kind == "pasted":
@@ -157,7 +176,6 @@ def build_pointset(gen: dict) -> tuple[PointSet, list[Line] | None]:
         from .serialization import pointset_from_dict
 
         return pointset_from_dict(gen["data"]), None
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def _decimal(x) -> str:

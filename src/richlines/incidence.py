@@ -1,15 +1,17 @@
 """Rich-line enumeration, incidence graphs, progression counting.
 
-Line enumeration groups all point pairs by an exact line key.  For a pair
-(p, q) the key is the sign-canonical primitive direction together with the
-translation invariant p_i * d_piv - p_piv * d_i, which is constant along
-the line.  Rational configurations are keyed on their integer image
-(`pointsets.integer_coords`), from which each rich line is decoded
-directly, and progressions are stepped there too; Q(i) configurations,
-which have no integer image, use field-arithmetic keys and `canonical_line`.
+Line enumeration groups all point pairs by an exact line key, computed on
+the integer image of V (`pointsets.integer_coords`), from which each rich
+line is decoded directly; progressions are stepped on that image too.
+Over Q the key of a pair (p, q) is the sign-canonical primitive direction
+together with the translation invariant p_i * d_piv - p_piv * d_i, which is
+constant along the line.  Over Q(i) the image holds Gaussian integers as
+(re, im) parts; the difference is first multiplied by the conjugate of its
+pivot entry, after which directions of one line differ by a positive
+rational and the same primitive step applies to the parts.
 Hyperplanes are keyed alike, by the closed-form normal of a spanning
-d-subset: primitive and sign-canonical on the integer image, as a line's
-direction is, and the canonical `Hyperplane` over Q(i).
+d-subset: primitive and sign-canonical on the integer image over Q, and
+the canonical `Hyperplane` over Q(i).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .geometry import (
     Hyperplane,
     Line,
     Point,
-    canonical_line,
     dot,
     make_hyperplane,
     plane_normal,
@@ -31,7 +32,7 @@ from .geometry import (
 )
 from .linalg import right_nullspace
 from .pointsets import PointSet, integer_coords
-from .scalars import sign_positive
+from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, sign_positive
 
 
 def _primitive(vec):
@@ -54,16 +55,32 @@ def _int_pair_key(p, q, d):
     return (*prim, *inv)
 
 
-def _field_pair_key(p, q, d):
-    diff = [q[t] - p[t] for t in range(d)]
-    piv = 0
-    while diff[piv] == 0:
-        piv += 1
-    scale = diff[piv]
-    prim = [c / scale for c in diff]
-    pp = p[piv]
-    base = [p[t] - pp * prim[t] for t in range(d)]
-    return (*prim, *base)
+def _gaussian_pair_key(p, q, d):
+    """Pair key of realified Gaussian-integer points (re_0, im_0, ...).
+
+    Multiplying q - p by the conjugate of its pivot (first nonzero) entry
+    makes that entry |pivot|^2 > 0.  Two directions of one line differ by
+    some lam in Q(i), and after this step by |lam|^2 > 0, so `_primitive` of
+    the parts is canonical.  The invariant p_t * dp - p_piv * prim_t costs
+    one Z[i] product per coordinate, dp being real.
+    """
+    diff = [b - a for a, b in zip(p, q)]
+    k = 0
+    while not (diff[k] or diff[k + 1]):
+        k += 2
+    cr, ci = diff[k], diff[k + 1]
+    rot = []
+    for t in range(0, 2 * d, 2):
+        x, y = diff[t], diff[t + 1]
+        rot += (x * cr + y * ci, y * cr - x * ci)
+    prim, piv = _primitive(rot)
+    dp = prim[piv]
+    pr, pi = p[piv], p[piv + 1]
+    inv = []
+    for t in range(0, 2 * d, 2):
+        u, v = prim[t], prim[t + 1]
+        inv += (p[t] * dp - pr * u + pi * v, p[t + 1] * dp - pr * v - pi * u)
+    return (*prim, *inv)
 
 
 def _int_plane_key(points):
@@ -116,15 +133,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _line_from_int_key(key, scales, idx) -> Line:
+def _line_from_int_key(key, scales, idx, gaussian=False) -> Line:
     """Canonical line of V from the key (prim, inv) of its integer image.
 
     With dp = prim[piv] > 0, undoing x_t -> s_t * x_t gives
     direction_t = prim_t * s_piv / (s_t * dp) and base_t = inv_t / (s_t * dp).
     A planar key (dx, dy, cross) has inv = (0, -cross) if dx else (cross, 0).
+    A Q(i) key is decoded part by part (dp is real) and each (re, im) pair
+    of the result becomes one coordinate.
     """
     d = len(scales)
-    if d == 2:
+    if len(key) == 3:
         dx, dy, cross = key
         key = (dx, dy, 0, -cross) if dx else (0, dy, cross, 0)
     prim, inv = key[:d], key[d:]
@@ -141,6 +160,9 @@ def _line_from_int_key(key, scales, idx) -> Line:
             direction[t] = Fraction(prim[t] * num, den) if t > piv else _ONE
         if inv[t]:
             base[t] = Fraction(inv[t], den)
+    if gaussian:
+        direction = map(GaussianRational, direction[::2], direction[1::2])
+        base = map(GaussianRational, base[::2], base[1::2])
     return Line(tuple(direction), tuple(base), tuple(idx))
 
 
@@ -154,15 +176,13 @@ def rich_lines(ps: PointSet, r: int) -> list[Line]:
         raise ValueError("richness threshold must be at least 2")
     d = ps.dim
     n = len(ps)
-    model = integer_coords(ps)
+    pts, scales = integer_coords(ps)
+    gaussian = ps.field == FIELD_GAUSSIAN
     groups: dict[tuple, list[int]] = {}
-    if model is not None and d == 2:
-        _group_pairs_int_2d(model[0], groups)
+    if d == 2 and not gaussian:
+        _group_pairs_int_2d(pts, groups)
     else:
-        if model is not None:
-            key_fn, pts = _int_pair_key, model[0]
-        else:
-            key_fn, pts = _field_pair_key, list(ps.points)
+        key_fn = _gaussian_pair_key if gaussian else _int_pair_key
         for i in range(n):
             pi = pts[i]
             for j in range(i + 1, n):
@@ -180,11 +200,7 @@ def rich_lines(ps: PointSet, r: int) -> list[Line]:
         idx = sorted(set(members))
         if len(idx) < r:
             continue
-        if model is not None:
-            out.append(_line_from_int_key(key, model[1], idx))
-        else:
-            line = canonical_line(ps.points[idx[0]], ps.points[idx[1]])
-            out.append(line.with_points(idx))
+        out.append(_line_from_int_key(key, scales, idx, gaussian))
     out.sort(key=lambda L: L.points)
     return out
 
@@ -251,14 +267,15 @@ def count_aps(ps: PointSet, r: int) -> tuple[int, list[APRecord]]:
     is canonicalized so its first nonzero coordinate is positive (positive
     real part, then positive imaginary part, in the Gaussian case).  Pairs
     (y, y+x) are scanned as the first two terms and the remaining terms are
-    membership-tested.  Over Q the stepping and the membership tests run
-    on the integer image of V; records carry V's own coordinates.
+    membership-tested.  The stepping and the membership tests run on the
+    integer image of V, whose first nonzero entry (a real part, or an
+    imaginary part after a zero real part) carries that sign; records carry
+    V's own coordinates.
     """
     if r < 2:
         raise ValueError("progression length must be at least 2")
     pts = ps.points
-    model = integer_coords(ps)
-    keys = pts if model is None else model[0]
+    keys = integer_coords(ps)[0]
     members = set(keys)
     n = len(pts)
     records = []
@@ -323,9 +340,8 @@ def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
     pts = ps.points
     if d == 1:
         return 1, make_hyperplane((Fraction(1),), pts[0][0])
-    model = integer_coords(ps)
-    if model is not None:
-        key_fn, keyed = _int_plane_key, model[0]
+    if ps.field == FIELD_RATIONAL:
+        key_fn, keyed = _int_plane_key, integer_coords(ps)[0]
     else:
         key_fn, keyed = _field_plane_key, pts
     planes: dict = {}  # key -> (first spanning subset, union of spanning subsets)

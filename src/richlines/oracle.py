@@ -5,14 +5,16 @@ for collinearity and emits a maximal collinear set once, keyed by its two
 lowest indices.  Over Q it runs on the integer image of
 `pointsets.integer_coords` (an invertible per-axis scaling, so collinearity
 is untouched), which keeps it exact and fast enough for the
-n <= a-few-hundred audits; over Q(i), which has no integer image, the same
-cross-product test runs in field arithmetic.  The progression oracle stays
-on field arithmetic throughout, independent of that model.
+n <= a-few-hundred audits.  Over Q(i) the same cross-product test runs in
+field arithmetic on V itself, so it stays independent of the realified
+Gaussian-integer keys that `rich_lines` uses there.  The progression oracle
+stays on field arithmetic throughout, independent of that model.
 """
 
 from __future__ import annotations
 
 from .pointsets import PointSet, integer_coords
+from .scalars import FIELD_RATIONAL
 
 
 def _collinear(p, q, s, d) -> bool:
@@ -29,8 +31,7 @@ def collinear_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
     """Index sets of all maximal collinear groups of size >= r, by brute force."""
     if r < 2:
         raise ValueError("need r >= 2")
-    model = integer_coords(ps)
-    pts = ps.points if model is None else model[0]
+    pts = integer_coords(ps)[0] if ps.field == FIELD_RATIONAL else ps.points
     n = len(pts)
     d = ps.dim
     groups: set[frozenset[int]] = set()

@@ -15,10 +15,13 @@ from .scalars import (
     Scalar,
     coerce,
     field_of,
+    imag_part,
+    real_part,
     scalar_key,
 )
 
 DEFAULT_SIZE_CAP = 20000
+COORDS_PER_POINT = 16
 SIZE_CAP_ENV = "RICHLINES_SIZE_CAP"
 
 
@@ -39,6 +42,26 @@ def check_cap(n: int, what: str = "points") -> None:
     cap = size_cap()
     if n > cap:
         raise SizeCapError(f"configuration of {n} {what} exceeds cap {cap}")
+
+
+def check_power_cap(h: int, e: int, dim: int, copies: int = 1) -> None:
+    """Cap a configuration of copies * h**e points in C^dim.
+
+    The points are capped at `size_cap()` and their n * dim coordinates at
+    COORDS_PER_POINT times that.  The dimension and the exponent are checked
+    before h**e is built, so a huge d fails at once instead of building a
+    huge power or an endless product.
+    """
+    cap = size_cap()
+    coord_cap = COORDS_PER_POINT * cap
+    if dim > coord_cap:
+        raise SizeCapError(f"configuration in dimension {dim} exceeds coordinate cap {coord_cap}")
+    if h > 1 and e > cap.bit_length():  # then h**e >= 2**e > cap
+        raise SizeCapError(f"configuration of {h}**{e} points exceeds cap {cap}")
+    n = copies * h**e
+    check_cap(n)
+    if n * dim > coord_cap:
+        raise SizeCapError(f"configuration of {n * dim} coordinates exceeds cap {coord_cap}")
 
 
 @dataclass(frozen=True)
@@ -78,18 +101,25 @@ class PointSet:
 
 
 def integer_coords(ps: PointSet):
-    """Integer image of V under x_a -> s_a * x_a, with the scales (s_a).
+    """Integer image of V under x_a -> s_a * x_a, with the scale of each
+    image coordinate.
 
-    s_a is the lcm of the denominators on axis a, so every image coordinate
-    is an integer.  The map is affine and invertible, so lines,
-    progressions and hyperplanes of V are those of the image, which lets
-    exact geometry run in integer arithmetic.  Q(i) input has no such image:
-    returns None.
+    s_a is the lcm of the denominators on axis a (of both parts over Q(i)),
+    so every image coordinate is an integer.  A Q(i) point is stored
+    realified, as (re_0, im_0, ..., re_{d-1}, im_{d-1}) with both parts of
+    axis a scaled by s_a, and its scales come back as (s_0, s_0, s_1, ...).
+    The map is affine over V's field and invertible, so lines, progressions
+    and hyperplanes of V are those of the image (over Q(i), with addition
+    componentwise on the parts), which lets exact geometry run in integer
+    arithmetic.
     """
-    if ps.field != FIELD_RATIONAL:
-        return None
     pts = ps.points
-    scales = tuple(lcm(*(p[a].denominator for p in pts)) for a in range(ps.dim))
+    gaussian = ps.field == FIELD_GAUSSIAN
+    if gaussian:
+        pts = [tuple(x for c in p for x in (real_part(c), imag_part(c))) for p in pts]
+    scales = tuple(lcm(*(p[a].denominator for p in pts)) for a in range(len(pts[0])))
+    if gaussian:
+        scales = tuple(lcm(scales[a & ~1], scales[a | 1]) for a in range(len(scales)))
     ints = [
         tuple(c.numerator * (s // c.denominator) for c, s in zip(p, scales))
         for p in pts
@@ -115,7 +145,7 @@ def grid(d: int, h: int) -> PointSet:
     """The integer grid {1,...,h}^d in lexicographic order."""
     if d < 1 or h < 1:
         raise ValueError("grid needs d >= 1 and h >= 1")
-    check_cap(h**d)
+    check_power_cap(h, d, d)
     pts = tuple(
         tuple(Fraction(c) for c in combo)
         for combo in itertools.product(range(1, h + 1), repeat=d)
@@ -134,7 +164,7 @@ def pasted_grids(d: int, ell: int, copies: int, h: int) -> PointSet:
         raise ValueError("pasted grids need 1 < ell < d")
     if copies < 1 or h < 1:
         raise ValueError("copies and h must be positive")
-    check_cap(copies * h**ell)
+    check_power_cap(h, ell, d, copies)
     pts = []
     for c in range(1, copies + 1):
         tail = tuple(Fraction(c) for _ in range(d - ell))
@@ -147,10 +177,10 @@ def cartesian_power(ps: PointSet, ell: int) -> PointSet:
     """V^ell inside C^{d*ell}, ordered lexicographically by factor indices."""
     if ell < 1:
         raise ValueError("power needs ell >= 1")
-    check_cap(len(ps) ** ell)
+    check_power_cap(len(ps), ell, ps.dim * ell)
     pts = tuple(
-        sum((ps.points[i] for i in combo), ())
-        for combo in itertools.product(range(len(ps)), repeat=ell)
+        tuple(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(ps.points, repeat=ell)
     )
     return PointSet(ps.dim * ell, ps.field, pts)
 
@@ -159,7 +189,7 @@ def index_prefix(ps: PointSet, r: int) -> PointSet:
     """{0,...,r-1} x V inside C^{1+d}, the standard progression lift."""
     if r < 1:
         raise ValueError("prefix length must be positive")
-    check_cap(r * len(ps))
+    check_power_cap(r, 1, ps.dim + 1, len(ps))
     pts = tuple((coerce(i, ps.field),) + p for i in range(r) for p in ps.points)
     return PointSet(ps.dim + 1, ps.field, pts)
 
@@ -196,7 +226,8 @@ def sumproduct_config(A, Q, d: int) -> tuple[PointSet, list[Line]]:
         (t, _sorted_scalars([a + t * b for a in a_vals for b in a_vals], field))
         for t in q_vals
     ]
-    check_cap(sum(len(sums) ** (d - 1) for _, sums in slices))
+    check_power_cap(1, 0, d)  # the dimension before the powers below
+    check_power_cap(sum(len(sums) ** (d - 1) for _, sums in slices), 1, d)
     pts = tuple(
         (t,) + combo
         for t, sums in slices

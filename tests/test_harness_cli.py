@@ -5,6 +5,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -443,6 +444,15 @@ _generators = {
     "power": {"kind": "power", "base": {"kind": "grid", "d": 1, "h": 2}, "ell": 2},
 }
 
+_valid_generators = {
+    **_generators,
+    "sumproduct": _sumproduct,
+    "points": {"kind": "points", "data": _VALID_DOC},
+}
+_config_keys = ("generator", "r_values", "pipelines", "constants", "seed", "out_json", "out_csv")
+# above the coordinate cap (16 per point of the default 20000-point cap)
+_huge = st.integers(min_value=10**6, max_value=10**30)
+
 _malformed_cfgs = st.one_of(
     _json_values.filter(lambda v: not isinstance(v, dict)),  # wrong top-level type
     st.sampled_from(["generator", "r_values"]).map(
@@ -483,6 +493,20 @@ _malformed_cfgs = st.one_of(
     _json_values.filter(lambda v: v not in ("grid", "pasted", "power", "sumproduct", "points")).map(
         lambda v: _gen_with({}, "kind", v)
     ),
+    # unknown keys, at the top level and in each kind of generator
+    st.text(max_size=6).filter(lambda k: k not in _config_keys).map(lambda k: _cfg_with(k, 0)),
+    st.just(_cfg_with("r_vals", [3])),
+    st.tuples(st.sampled_from(sorted(_valid_generators)), st.text(max_size=6)).filter(
+        lambda t: t[1] not in _valid_generators[t[0]]
+    ).map(lambda t: _gen_with(_valid_generators[t[0]], t[1], 1)),
+    # coordinate counts beyond the caps; d is checked before h**d is built
+    st.just(_cfg_with("generator", {"kind": "grid", "d": 10**20, "h": 1})),
+    st.tuples(st.integers(1, 3), _huge).map(
+        lambda t: _cfg_with("generator", {"kind": "grid", "d": t[1], "h": t[0]})
+    ),
+    _huge.map(lambda d: _gen_with(_generators["pasted"], "d", d)),
+    _huge.map(lambda e: _gen_with(_generators["power"], "ell", e)),
+    _huge.map(lambda d: _cfg_with("generator", {"kind": "sumproduct", "A": [1], "Q": [0], "d": d})),
 )
 
 
@@ -499,3 +523,16 @@ def test_cli_malformed_sweep_config_is_one_error_line(cfg):
     assert code == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_valid_generators_build():
+    # the bases of the malformed generators above are themselves valid
+    for gen in _valid_generators.values():
+        assert len(build_pointset(gen)[0]) > 0
+
+
+def test_readme_sweep_config_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("A sweep config is JSON:", 1)[1].split("```json", 1)[1]
+    cfg = ExperimentConfig.from_dict(json.loads(block.split("```", 1)[0]))
+    assert [build_pointset({**cfg.generator, "h": h})[0].dim for h in cfg.generator["h"]] == [2] * 3

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -26,7 +27,7 @@ from richlines.pointsets import (
     integer_coords,
     pointset_from,
 )
-from richlines.scalars import GaussianRational
+from richlines.scalars import FIELD_GAUSSIAN, GaussianRational
 
 F = Fraction
 
@@ -166,9 +167,31 @@ def test_integer_coords_is_a_per_axis_scaling(raw):
             assert F(p[a], scales[a]) == q[a]
 
 
-def test_integer_coords_none_over_gaussian():
-    i = GaussianRational(F(0), F(1))
-    assert integer_coords(pointset_from([(i, F(1, 2)), (F(1), F(2))])) is None
+gaussian_points = st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.builds(GaussianRational, coords, coords)] * d),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_points)
+def test_integer_coords_is_a_per_axis_scaling_over_gaussian(raw):
+    # realified (re_0, im_0, re_1, ...) with both parts of axis a scaled by
+    # the lcm s_a of their denominators, the scales repeated to match
+    ps = pointset_from(raw, FIELD_GAUSSIAN)
+    ints, scales = integer_coords(ps)
+    assert all(isinstance(c, int) for p in ints for c in p)
+    for a in range(ps.dim):
+        parts = [x for q in ps.points for x in (q[a].re, q[a].im)]
+        assert scales[2 * a] == scales[2 * a + 1] == lcm(*(x.denominator for x in parts))
+    for p, q in zip(ints, ps.points):
+        for a in range(ps.dim):
+            assert F(p[2 * a], scales[2 * a]) == q[a].re
+            assert F(p[2 * a + 1], scales[2 * a + 1]) == q[a].im
 
 
 @settings(max_examples=100, deadline=None)

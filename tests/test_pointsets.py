@@ -161,3 +161,31 @@ def test_sumproduct_lines_meet_base_slice_once():
 def test_generators_produce_distinct_points():
     for ps in (grid(2, 4), pasted_grids(3, 2, 2, 3), cartesian_power(grid(1, 3), 2)):
         assert len(set(ps.points)) == len(ps)
+
+
+def test_size_cap_counts_coordinates(monkeypatch):
+    monkeypatch.setenv("RICHLINES_SIZE_CAP", "100")
+    # 1 point, but more coordinates than 16 per point of the cap
+    with pytest.raises(SizeCapError, match="dimension 1601 exceeds coordinate cap 1600"):
+        grid(1601, 1)
+    assert grid(1600, 1).dim == 1600
+    pair = pointset_from([(F(0),) * 10, (F(1),) * 10])
+    with pytest.raises(SizeCapError, match="3840 coordinates exceeds cap 1600"):
+        cartesian_power(pair, 6)  # 64 points in C^60
+    with pytest.raises(SizeCapError, match="dimension 1700 exceeds coordinate cap"):
+        cartesian_power(grid(17, 1), 100)
+    with pytest.raises(SizeCapError, match="coordinate cap"):
+        pasted_grids(10**20, 2, 2, 2)
+    with pytest.raises(SizeCapError, match="coordinates"):
+        index_prefix(grid(1500, 1), 2)
+
+
+def test_size_cap_checks_the_exponent_before_the_power(monkeypatch):
+    monkeypatch.setenv("RICHLINES_SIZE_CAP", "100")
+    # 2**1000 would be built by h**d; the exponent alone shows it is too big
+    with pytest.raises(SizeCapError, match=r"2\*\*1000 points exceeds cap 100"):
+        grid(1000, 2)
+    with pytest.raises(SizeCapError, match=r"2\*\*1000 points"):
+        cartesian_power(grid(1, 2), 1000)
+    with pytest.raises(SizeCapError, match="128 points"):
+        grid(7, 2)  # 7 = bit_length(100): built, then counted

@@ -18,10 +18,10 @@ from fractions import Fraction
 from random import Random
 
 from .geometry import Line, canonical_line
-from .linalg import Matrix, right_nullspace
+from .linalg import Matrix, annihilates, integer_vector, right_nullspace
 from .pointsets import PointSet
-from .scalars import Scalar, scalar_key
-from .veronese import veronese_matrix
+from .scalars import FIELD_GAUSSIAN, Scalar, scalar_key
+from .veronese import integer_veronese, veronese_matrix
 
 
 def tuple_cover(line_points, r: int) -> list[tuple[int, ...]]:
@@ -169,10 +169,13 @@ def assemble_design(
 
     Every line must be r-rich.  Rows appear in line order then block order;
     each row holds the dependency coefficients of one collinear r-tuple at
-    the tuple's columns.
+    the tuple's columns.  A row has a * M = 0 iff a, cleared to (Gaussian)
+    integers, annihilates the columns of the integer image M * diag(s^e).
     """
     n = len(ps)
     deg = r - 2
+    gaussian = ps.field == FIELD_GAUSSIAN
+    m_int = integer_veronese(ps, deg)[0]
     per_line = []
     entries: dict[tuple[int, int], Scalar] = {}
     row = 0
@@ -184,16 +187,16 @@ def assemble_design(
         per_line.append(blocks)
         for block in blocks:
             alpha = dependency_coeffs([ps.points[i] for i in block], deg)
+            cols = zip(*(m_int[i] for i in block))
+            if not annihilates(cols, integer_vector(alpha, gaussian), gaussian):
+                raise ArithmeticError("A * M != 0: dependency rows are inconsistent")
             for idx, coef in zip(block, alpha):
                 entries[(row, idx)] = coef
             row += 1
     cover = TupleCover(r, tuple(per_line))
     q, k, t = measure_design_params(row, n, entries)
     A = DesignMatrix(row, n, entries, q, k, t, cover)
-    M = veronese_matrix(ps, deg)
-    if row and not A.product_with(M).is_zero():
-        raise ArithmeticError("A * M != 0: dependency rows are inconsistent")
-    return A, M
+    return A, veronese_matrix(ps, deg)
 
 
 @dataclass(frozen=True)

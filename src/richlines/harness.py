@@ -36,7 +36,7 @@ from .pointsets import (
 )
 from .refinement import refine
 from .scalars import format_scalar
-from .serialization import dumps_json
+from .serialization import check_known_keys, dumps_json
 from .vanishing import (
     certified_vanishing_poly,
     extract_hyperplane,
@@ -62,7 +62,7 @@ class ExperimentConfig:
         """Decode a sweep config; any malformed part raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"a sweep config must be a JSON object, got {type(data).__name__}")
-        _known_keys(data, [f.name for f in fields(cls)], "sweep config")
+        check_known_keys(data, [f.name for f in fields(cls)], "sweep config")
         generator = _object(data.get("generator"), "generator")
         r_values = data.get("r_values")
         if not (isinstance(r_values, list) and r_values
@@ -105,12 +105,6 @@ _GENERATOR_KEYS = {
     "sumproduct": ("A", "Q", "d"),
     "points": ("data",),
 }
-
-
-def _known_keys(obj: dict, known, what: str) -> None:
-    unknown = sorted(set(obj) - {*known})
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}, expected some of {sorted(known)}")
 
 
 def _object(value, what: str) -> dict:
@@ -156,7 +150,7 @@ def build_pointset(gen: dict) -> tuple[PointSet, list[Line] | None]:
     kind = gen["kind"]
     if not (isinstance(kind, str) and kind in _GENERATOR_KEYS):
         raise ValueError(f"unknown generator kind {kind!r}")
-    _known_keys(gen, ("kind", *_GENERATOR_KEYS[kind]), f"{kind} generator")
+    check_known_keys(gen, ("kind", *_GENERATOR_KEYS[kind]), f"{kind} generator")
     if kind == "grid":
         return grid(_size(gen, "d"), _size(gen, "h")), None
     if kind == "pasted":

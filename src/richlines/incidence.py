@@ -30,7 +30,7 @@ from .geometry import (
     plane_normal,
     vsub,
 )
-from .linalg import right_nullspace
+from .linalg import first_kernel_vector
 from .pointsets import PointSet, integer_coords
 from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, sign_positive
 
@@ -352,7 +352,11 @@ def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
     if planes:
         combo, members = max(planes.values(), key=lambda v: len(v[1]))
         return len(members), _field_plane_key([pts[i] for i in combo])
-    # Affinely degenerate: the span misses a full hyperplane, so take any
-    # normal vector orthogonal to the span.
-    normal = right_nullspace([vsub(p, pts[0]) for p in pts[1:]], d)[0]
+    # Affinely degenerate: the span misses a full hyperplane, so take the
+    # first RREF kernel vector of the differences, found on their integer image.
+    ints, scales = integer_coords(ps)
+    diffs = [vsub(p, ints[0]) for p in ints[1:]]
+    if ps.field == FIELD_GAUSSIAN:
+        diffs, scales = [list(zip(p[::2], p[1::2])) for p in diffs], scales[::2]
+    normal = first_kernel_vector(diffs, scales, ps.field == FIELD_GAUSSIAN)
     return len(pts), make_hyperplane(normal, dot(pts[0], normal))

@@ -6,7 +6,8 @@ rational rows are scaled to integers, and a Q(i) matrix A + iB is first
 realified to [[A, -B], [B, A]], whose rank over Q is twice its rank over
 Q(i).  A separate reduced-row-echelon routine, ordinary Gauss-Jordan over
 the field, provides nullspaces and doubles as an independent rank oracle
-for cross checks.
+for cross checks.  `first_kernel_vector` finds the first nullspace vector
+of an integer image by a pivot profile mod p and an exact integer solve.
 """
 
 from __future__ import annotations
@@ -81,18 +82,20 @@ def bareiss_rank(rows) -> int:
         return 0
     if not any(isinstance(x, GaussianRational) for r in rows for x in r):
         return _bareiss_core(_clear_denominators(rows))
-    big = []
-    for r in rows:
-        re = [real_part(x) for x in r]
-        im = [imag_part(x) for x in r]
-        big.append(re + [-x for x in im])
-        big.append(im + re)
+    big = _realified([(real_part(x), imag_part(x)) for x in r] for r in rows)
     return _bareiss_core(_clear_denominators(big)) // 2
 
 
+def _realified(rows) -> list:
+    """The rows of [[A, -B], [B, A]] for rows of A + iB given as (re, im) pairs."""
+    return [h for r in rows for h in ([x for x, _ in r] + [-y for _, y in r],
+                                      [y for _, y in r] + [x for x, _ in r])]
+
+
 def _bareiss_core(a) -> int:
-    """Rank of an integer matrix; every division in the recurrence is exact."""
-    m, n = len(a), len(a[0])
+    """Rank of an integer matrix, which is left in fraction-free row echelon
+    form; every division in the recurrence is exact."""
+    m, n = len(a), len(a[0]) if a else 0
     prev = 1
     rank = 0
     for col in range(n):
@@ -186,3 +189,81 @@ def right_nullspace(rows, cols: int) -> list[tuple[Scalar, ...]]:
                 v[pc] = -coef
         basis.append(_normalize_first_nonzero(v))
     return basis
+
+
+# p = 1 (mod 4) < 2^61 and iota^2 = -1 (mod p), so a + bi -> a + b*iota maps Z[i] onto F_p
+_PRIMES = ((2305843009213693921, 583529827753931384), (2305843009213693693, 966685122347009555))
+
+
+def integer_vector(vec, gaussian: bool = False) -> list:
+    """vec times the lcm of its denominators: ints, or (re, im) pairs over Q(i)."""
+    flat = _clear_denominators([[x for c in vec for x in (real_part(c), imag_part(c))]
+                                if gaussian else vec])[0]
+    return list(zip(flat[::2], flat[1::2])) if gaussian else flat
+
+
+def annihilates(rows, w, gaussian: bool = False) -> bool:
+    """Whether each row, cut to len(w), times w is 0; over Q(i) the entries
+    are (re, im) pairs and the check runs on the realification."""
+    if gaussian:
+        rows, w = _realified(r[: len(w)] for r in rows), [x for x, _ in w] + [y for _, y in w]
+    return all(sum(a * b for a, b in zip(row, w)) == 0 for row in rows)
+
+
+def _pivot_rows(a, cols: int, p: int):
+    """Rows of a (entries mod p; eliminated in place) holding the leftmost
+    pivots before the first free column; None when no column is free."""
+    live, pivots = list(range(len(a))), []
+    for col in range(cols):
+        piv = next((i for i in live if a[i][col]), None)
+        if piv is None:
+            return pivots
+        live.remove(piv)
+        pivots.append(piv)
+        inv = pow(a[piv][col], -1, p)
+        for i in live:
+            f = a[i][col] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[piv])]
+    return None
+
+
+def first_kernel_vector(rows, scales, gaussian: bool = False):
+    """right_nullspace(M)[0], or None, for M = rows * diag(scales)^-1 with
+    integer rows ((re, im) pairs over Q(i)), without field elimination.
+
+    Pivots mod p stop at the first free column c, or prove full column rank.
+    Their c x c minor is nonzero mod p, so over the field: Bareiss on
+    [minor | -column c] (realified over Q(i)) solves for w with w_c = +-det.
+    rows * w = 0, checked in integers, then makes c the first free column and
+    diag(scales) * w the first RREF vector up to scale.  On failure (an
+    unlucky prime) the next prime is tried, then RREF over the field.
+    """
+    cols = len(scales)
+    for p, iota in _PRIMES:
+        mod = [[(x[0] + iota * x[1]) % p if gaussian else x % p for x in row] for row in rows]
+        piv_rows = _pivot_rows(mod, cols, p)
+        if piv_rows is None:
+            return None
+        c = len(piv_rows)
+        top = [list(rows[i][: c + 1]) for i in piv_rows]
+        aug = [r[:c] + r[c + 1 : 2 * c + 1] + [-r[c]] for r in (_realified(top) if gaussian else top)]
+        m = _bareiss_core(aug)
+        det = aug[m - 1][m - 1] if m else 1
+        z = [0] * m
+        for k in reversed(range(m)):
+            z[k] = (det * aug[k][m] - sum(aug[k][j] * z[j] for j in range(k + 1, m))) // aug[k][k]
+        w = list(zip(z[:c], z[c:])) + [(det, 0)] if gaussian else z + [det]
+        if annihilates(rows, w, gaussian):
+            break
+    else:
+        field = [[GaussianRational(Fraction(x[0], s), Fraction(x[1], s)) if gaussian
+                  else Fraction(x, s) for x, s in zip(row, scales)] for row in rows]
+        kernel = right_nullspace(field, cols)
+        if kernel and not annihilates(field, kernel[0]):
+            raise ArithmeticError("RREF kernel vector fails M v = 0")
+        return kernel[0] if kernel else None
+    if gaussian and not any(a or b for a, b in w[:c]):
+        w, gaussian = [0] * c + [1], False  # RREF gives a unit vector in Fractions
+    v = [GaussianRational(x[0] * s, x[1] * s) if gaussian else Fraction(x * s)
+         for x, s in zip(w, scales)]
+    return _normalize_first_nonzero(v + [v[0] * 0] * (cols - c - 1))

@@ -117,7 +117,8 @@ def integer_coords(ps: PointSet):
     gaussian = ps.field == FIELD_GAUSSIAN
     if gaussian:
         pts = [tuple(x for c in p for x in (real_part(c), imag_part(c))) for p in pts]
-    scales = tuple(lcm(*(p[a].denominator for p in pts)) for a in range(len(pts[0])))
+    width = ps.dim * (2 if gaussian else 1)
+    scales = tuple(lcm(*(p[a].denominator for p in pts)) for a in range(width))
     if gaussian:
         scales = tuple(lcm(scales[a & ~1], scales[a | 1]) for a in range(len(scales)))
     ints = [

@@ -30,10 +30,17 @@ def pointset_to_dict(ps: PointSet) -> dict:
     return out
 
 
+def check_known_keys(obj: dict, known, what: str) -> None:
+    unknown = sorted(set(obj) - {*known})
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}, expected some of {sorted(known)}")
+
+
 def pointset_from_dict(data) -> PointSet:
     """Decode a point-set document; any malformed part raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a point set must be a JSON object, got {type(data).__name__}")
+    check_known_keys(data, ("dim", "field", "points", "labels"), "point set")
     field = data.get("field", FIELD_RATIONAL)
     if field not in (FIELD_RATIONAL, FIELD_GAUSSIAN):
         raise ValueError(f"point set field must be 'Q' or 'Qi', got {field!r}")

@@ -19,16 +19,16 @@ from fractions import Fraction
 from .designs import RankBoundReport, assemble_design, rank_bound_report
 from .geometry import Hyperplane, Line, dot, make_hyperplane
 from .incidence import IncidenceGraph, incidences, lift_progressions, rich_lines
-from .linalg import Matrix, right_nullspace
+from .linalg import first_kernel_vector, right_nullspace
 from .pointsets import PointSet, cartesian_power, check_cap
 from .refinement import dyadic_partition, refine
-from .scalars import Scalar
+from .scalars import FIELD_GAUSSIAN, Scalar
 from .veronese import (
     Polynomial,
+    integer_veronese,
     monomial_basis,
     monomial_count,
     poly_from_coeff_vector,
-    veronese_matrix,
 )
 
 
@@ -50,34 +50,26 @@ class PipelineConstants:
         return cls(c, c / 2**11)
 
 
-def _kernel_poly(ps: PointSet, M: Matrix, deg: int) -> Polynomial | None:
+def _kernel_poly(ps: PointSet, deg: int) -> Polynomial | None:
     """The first kernel vector of M, the degree <= deg evaluation matrix of V,
-    as a polynomial checked to vanish on V; None when the kernel is trivial."""
-    kernel = M.right_nullspace()
-    if not kernel:
-        return None
-    f = poly_from_coeff_vector(monomial_basis(ps.dim, deg), kernel[0])
-    bad = [p for p in ps.points if f.evaluate(p) != 0]
-    if bad:
-        raise ArithmeticError(f"kernel polynomial fails to vanish at {bad[0]}")
-    return f
+    as a polynomial, or None; f(p_j) = (M_int w)_j is checked to be 0."""
+    if not ps.points:
+        return None  # M is then an empty Matrix, with no columns
+    vec = first_kernel_vector(*integer_veronese(ps, deg), ps.field == FIELD_GAUSSIAN)
+    return None if vec is None else poly_from_coeff_vector(monomial_basis(ps.dim, deg), vec)
 
 
 def find_vanishing_poly(ps: PointSet, max_deg: int) -> Polynomial | None:
     """Lowest-degree nonzero polynomial vanishing on all of V, up to max_deg.
 
-    One elimination of the degree <= max_deg evaluation matrix suffices.
-    Graded-lex order makes the degree <= e matrix a column prefix of it for
-    every e, and Gauss-Jordan with leftmost pivots reduces a column prefix
-    exactly as it reduces the whole matrix.  So the first free column lies in
-    the lowest degree with a nontrivial kernel, and the first kernel vector,
-    supported on that column and the pivots before it, is the first kernel
-    vector of that degree's own matrix.  Returns None when the kernel is
-    trivial up to max_deg.
+    Graded-lex order makes the degree <= e matrix a column prefix of the
+    degree <= max_deg one, so the first free column of the latter lies in the
+    lowest degree with a nontrivial kernel, and its first kernel vector is
+    that degree's own.  Returns None when the kernel is trivial up to max_deg.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
-    return _kernel_poly(ps, veronese_matrix(ps, max_deg), max_deg)
+    return _kernel_poly(ps, max_deg)
 
 
 @dataclass(frozen=True)
@@ -143,9 +135,9 @@ def certified_vanishing_poly(
     basis_size = monomial_count(d, r - 2)
     rank_m = bounds.rank_m
     deficient = rank_m < basis_size
-    f = _kernel_poly(ps, M, r - 2)
+    f = _kernel_poly(ps, r - 2)
     if (f is not None) != deficient:
-        raise ArithmeticError(f"Bareiss rank {rank_m} of M and its RREF kernel disagree")
+        raise ArithmeticError(f"Bareiss rank {rank_m} of M and its first kernel vector disagree")
     cert = DesignCertificate(
         r=r,
         degree=r - 2,

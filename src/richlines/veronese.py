@@ -10,14 +10,16 @@ expressed in this order, which keeps extracted polynomials reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, prod
 
 from .geometry import Point
 from .linalg import Matrix
-from .pointsets import PointSet
-from .scalars import Scalar
+from .pointsets import PointSet, integer_coords
+from .scalars import FIELD_GAUSSIAN, Scalar
 
 
 def monomial_count(d: int, r: int) -> int:
@@ -83,6 +85,22 @@ def veronese_matrix(ps: PointSet, r: int) -> Matrix:
         powers = _coordinate_powers(p, r)
         rows.append([_eval_monomial(e, powers) for e in basis.exponents])
     return Matrix(rows)
+
+
+def integer_veronese(ps: PointSet, r: int):
+    """veronese_matrix(ps, r) * diag(s^e) with its column scales s^e, where
+    x_a -> s_a * x_a is `integer_coords`: ints, or (re, im) pairs over Q(i)."""
+    ints, scales = integer_coords(ps)
+    one, mul = 1, operator.mul
+    if ps.field == FIELD_GAUSSIAN:
+        ints, scales, one = [list(zip(p[::2], p[1::2])) for p in ints], scales[::2], (1, 0)
+        mul = lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    exps = monomial_basis(ps.dim, r).exponents
+    rows = []
+    for p in ints:
+        powers = [list(itertools.accumulate(itertools.repeat(c, r), mul, initial=one)) for c in p]
+        rows.append([reduce(mul, (pw[k] for pw, k in zip(powers, e) if k), one) for e in exps])
+    return rows, [prod(s**k for s, k in zip(scales, e)) for e in exps]
 
 
 class Polynomial:

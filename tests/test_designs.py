@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from richlines import designs
 from richlines.designs import (
     DesignMatrix,
     assemble_design,
@@ -205,6 +206,36 @@ def test_assemble_rejects_poor_lines():
     lines = rich_lines(ps, 3)
     with pytest.raises(ValueError):
         assemble_design(ps, lines, 4)
+
+
+def _gaussian_image(ps):
+    a, b = GaussianRational(F(1, 2), 2), GaussianRational(F(-1, 3), F(1, 5))
+    return pointset_from([tuple(a * c + b for c in p) for p in ps.points], "Qi")
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("which", [0, 7])
+def test_assemble_rejects_a_perturbed_dependency_row(monkeypatch, gaussian, which):
+    # A * M = 0 is checked on the integer image; one wrong coefficient in one
+    # row must fail it over either field.
+    ps = _gaussian_image(grid(2, 4)) if gaussian else grid(2, 4)
+    lines = rich_lines(ps, 4)
+    real, calls = designs.dependency_coeffs, []
+    bump = GaussianRational(0, 1) if gaussian else F(1, 7)
+
+    def perturbed(points, deg):
+        alpha = real(points, deg)
+        calls.append(alpha)
+        if len(calls) - 1 == which:
+            alpha = alpha[:2] + (alpha[2] + bump,) + alpha[3:]
+        return alpha
+
+    A, M = assemble_design(ps, lines, 4)
+    assert A.product_with(M).is_zero()
+    monkeypatch.setattr(designs, "dependency_coeffs", perturbed)
+    with pytest.raises(ArithmeticError, match=r"A \* M != 0"):
+        assemble_design(ps, lines, 4)
+    assert len(calls) == which + 1
 
 
 def test_line_order_sorts_by_parameter():

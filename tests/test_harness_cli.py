@@ -348,6 +348,16 @@ def test_cli_non_object_point_set_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "error: a point set must be a JSON object, got list\n"
 
 
+def test_cli_unknown_point_set_key_exit_code(tmp_path, capsys):
+    pts = tmp_path / "k.json"
+    pts.write_text(json.dumps({"dim": 1, "points": [["0/1"]], "lables": ["a"], "Dim": 1}))
+    assert main(["richlines", "--in", str(pts), "--r", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown point set keys ['Dim', 'lables'], "
+        "expected some of ['dim', 'field', 'labels', 'points']\n"
+    )
+
+
 def test_cli_unknown_field_exit_code(tmp_path, capsys):
     pts = tmp_path / "z.json"
     pts.write_text(json.dumps({"dim": 2, "field": "Z", "points": [["0/1", "0/1"], ["1/1", "0/1"]]}))
@@ -355,6 +365,7 @@ def test_cli_unknown_field_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "error: point set field must be 'Q' or 'Qi', got 'Z'\n"
 
 
+_POINT_SET_KEYS = {"dim", "field", "points", "labels"}
 _VALID_DOC = {"dim": 2, "field": "Q", "points": [["0/1", "1/2"], ["1/1", "-3/1"], ["2/1", "0/1"]]}
 _json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=True), st.text(max_size=6)
@@ -403,6 +414,11 @@ _malformed_docs = st.one_of(
     _json_values.filter(lambda v: v is not None and not (
         isinstance(v, list) and all(isinstance(s, str) for s in v) and len(v) in (0, 3)
     )).map(lambda v: _with("labels", v)),
+    # unknown keys, with any value
+    st.tuples(st.text(max_size=6).filter(lambda k: k not in _POINT_SET_KEYS), _json_values).map(
+        lambda kv: _with(*kv)
+    ),
+    st.just(_with("lables", ["a", "b", "c"])),
 )
 
 

@@ -27,7 +27,7 @@ from richlines.pointsets import (
     integer_coords,
     pointset_from,
 )
-from richlines.scalars import FIELD_GAUSSIAN, GaussianRational
+from richlines.scalars import FIELD_GAUSSIAN, GaussianRational, format_scalar
 
 F = Fraction
 
@@ -512,3 +512,34 @@ def test_max_hyperplane_degenerate_collinear():
     count, plane = max_hyperplane_subset(ps)
     assert count == 4
     assert all(plane.contains(p) for p in ps.points)
+
+
+@st.composite
+def degenerate_inputs(draw):
+    """Sets whose affine span has dimension <= d - 2, over Q or Q(i), d = 2..5."""
+    gaussian = draw(st.booleans())
+    d = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=d - 2))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if gaussian:
+        entry = st.builds(GaussianRational, entry, entry)
+    base = [draw(entry) for _ in range(d)]
+    dirs = [[draw(entry) for _ in range(d)] for _ in range(k)]
+    coefs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=6))
+    pts = [
+        tuple(base[a] + sum(c * u[a] for c, u in zip(cs, dirs)) for a in range(d))
+        for cs in coefs
+    ]
+    return pointset_from(list(dict.fromkeys(pts)), FIELD_GAUSSIAN if gaussian else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_inputs())
+def test_degenerate_plane_normal_is_the_first_rref_kernel_vector(ps):
+    pts = ps.points
+    normal = right_nullspace([vsub(p, pts[0]) for p in pts[1:]], ps.dim)[0]
+    want = make_hyperplane(normal, dot(pts[0], normal))
+    count, plane = max_hyperplane_subset(ps)
+    assert count == len(pts)
+    as_bytes = lambda h: [format_scalar(c) for c in (*h.normal, h.offset)]
+    assert as_bytes(plane) == as_bytes(want)

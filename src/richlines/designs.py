@@ -188,7 +188,7 @@ def assemble_design(
         for block in blocks:
             alpha = dependency_coeffs([ps.points[i] for i in block], deg)
             cols = zip(*(m_int[i] for i in block))
-            if not annihilates(cols, integer_vector(alpha, gaussian), gaussian):
+            if not annihilates(cols, integer_vector(alpha, gaussian)[0], gaussian):
                 raise ArithmeticError("A * M != 0: dependency rows are inconsistent")
             for idx, coef in zip(block, alpha):
                 entries[(row, idx)] = coef

@@ -30,7 +30,7 @@ from .geometry import (
     plane_normal,
     vsub,
 )
-from .linalg import first_kernel_vector
+from .linalg import first_kernel_vector, integer_vector
 from .pointsets import PointSet, integer_coords
 from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, sign_positive
 
@@ -230,14 +230,34 @@ class IncidenceGraph:
         return deg
 
 
+def line_image(line: Line, scales, gaussian: bool = False):
+    """(D, B, U), D > 0 least with B = D * s * base and U = D * s * direction
+    integral for the scales s of `integer_coords` (realified over Q(i), like
+    the image), so that base + t * direction maps to (B + t U) / D."""
+    axis = scales[::2] if gaussian else scales
+    w, D = integer_vector([c * s for c, s in zip(line.base + line.direction, axis + axis)], gaussian)
+    w = [x for pair in w for x in pair] if gaussian else w
+    return D, w[: len(scales)], w[len(scales) :]
+
+
 def incidences(ps: PointSet, lines: list[Line]) -> IncidenceGraph:
-    """Incidence graph of V against a line family, with exact membership checks."""
+    """Incidence graph of V against a line family, with exact membership
+    checks on the integer image y = s * p: by `line_image`, p is on the line
+    iff s_piv D y = s_piv B + y_piv U (Gaussian products over Q(i))."""
+    pts, scales = integer_coords(ps)
+    gaussian = ps.field == FIELD_GAUSSIAN
     edges = []
     for li, line in enumerate(lines):
+        D, B, U = line_image(line, scales, gaussian)
+        k = line.pivot * (2 if gaussian else 1)
+        lhs, B = scales[k] * D, [scales[k] * b for b in B]
+        iU = [x for u, v in zip(U[::2], U[1::2]) for x in (-v, u)] if gaussian else U
         for pi in line.points:
             if pi < 0 or pi >= len(ps):
                 raise ValueError(f"line {li} references invalid point index {pi}")
-            if not line.contains(ps.points[pi]):
+            y = pts[pi]
+            yr, yi = y[k], y[k + 1] if gaussian else 0  # y_piv U = yr U + yi (i U)
+            if not all(lhs * c == b + yr * u + yi * v for c, b, u, v in zip(y, B, U, iU)):
                 raise ValueError(f"point {pi} is not on line {li}")
             edges.append((pi, li))
     return IncidenceGraph(

@@ -12,6 +12,7 @@ of an integer image by a pivot profile mod p and an exact integer solve.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -61,14 +62,6 @@ class Matrix:
         return right_nullspace(self.row_list(), self.cols)
 
 
-def _clear_denominators(rows):
-    out = []
-    for r in rows:
-        m = lcm(*(x.denominator for x in r)) if r else 1
-        out.append([x.numerator * (m // x.denominator) for x in r])
-    return out
-
-
 def bareiss_rank(rows) -> int:
     """Rank by fraction-free (Bareiss) elimination in integers.
 
@@ -81,9 +74,9 @@ def bareiss_rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
     if not any(isinstance(x, GaussianRational) for r in rows for x in r):
-        return _bareiss_core(_clear_denominators(rows))
+        return _bareiss_core([integer_vector(r)[0] for r in rows])
     big = _realified([(real_part(x), imag_part(x)) for x in r] for r in rows)
-    return _bareiss_core(_clear_denominators(big)) // 2
+    return _bareiss_core([integer_vector(r)[0] for r in big]) // 2
 
 
 def _realified(rows) -> list:
@@ -195,19 +188,30 @@ def right_nullspace(rows, cols: int) -> list[tuple[Scalar, ...]]:
 _PRIMES = ((2305843009213693921, 583529827753931384), (2305843009213693693, 966685122347009555))
 
 
-def integer_vector(vec, gaussian: bool = False) -> list:
-    """vec times the lcm of its denominators: ints, or (re, im) pairs over Q(i)."""
-    flat = _clear_denominators([[x for c in vec for x in (real_part(c), imag_part(c))]
-                                if gaussian else vec])[0]
-    return list(zip(flat[::2], flat[1::2])) if gaussian else flat
+def integer_vector(vec, gaussian: bool = False):
+    """(m * vec, m) for m the lcm of the denominators of vec: ints, or (re, im)
+    pairs over Q(i)."""
+    flat = [x for c in vec for x in (real_part(c), imag_part(c))] if gaussian else vec
+    m = lcm(*(x.denominator for x in flat))
+    flat = [x.numerator * (m // x.denominator) for x in flat]
+    return list(zip(flat[::2], flat[1::2])) if gaussian else flat, m
+
+
+def gaussian_mul(x, y):
+    """Product of Gaussian integers given as (re, im) pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def int_dot(row, w, gaussian: bool = False) -> tuple:
+    """row . w over the first len(w) entries, as its parts (re,) or (re, im)."""
+    if gaussian:
+        return tuple(map(sum, zip(*map(gaussian_mul, row, w))))
+    return (sum(map(operator.mul, row, w)),)
 
 
 def annihilates(rows, w, gaussian: bool = False) -> bool:
-    """Whether each row, cut to len(w), times w is 0; over Q(i) the entries
-    are (re, im) pairs and the check runs on the realification."""
-    if gaussian:
-        rows, w = _realified(r[: len(w)] for r in rows), [x for x, _ in w] + [y for _, y in w]
-    return all(sum(a * b for a, b in zip(row, w)) == 0 for row in rows)
+    """Whether each row, cut to len(w), times w is 0."""
+    return not any(any(int_dot(row, w, gaussian)) for row in rows)
 
 
 def _pivot_rows(a, cols: int, p: int):

@@ -18,17 +18,14 @@ from fractions import Fraction
 
 from .designs import RankBoundReport, assemble_design, rank_bound_report
 from .geometry import Hyperplane, Line, dot, make_hyperplane
-from .incidence import IncidenceGraph, incidences, lift_progressions, rich_lines
-from .linalg import first_kernel_vector, right_nullspace
-from .pointsets import PointSet, cartesian_power, check_cap
+from .incidence import IncidenceGraph, incidences, lift_progressions, line_image, rich_lines
+from .linalg import annihilates, first_kernel_vector, int_dot, right_nullspace
+from .pointsets import PointSet, cartesian_power, check_cap, integer_coords
 from .refinement import dyadic_partition, refine
-from .scalars import FIELD_GAUSSIAN, Scalar
+from .scalars import FIELD_GAUSSIAN, GaussianRational, Scalar
 from .veronese import (
-    Polynomial,
-    integer_veronese,
-    monomial_basis,
-    monomial_count,
-    poly_from_coeff_vector,
+    Polynomial, cleared, integer_veronese, monomial_basis, monomial_count,
+    monomial_rows, poly_from_coeff_vector,
 )
 
 
@@ -69,7 +66,10 @@ def find_vanishing_poly(ps: PointSet, max_deg: int) -> Polynomial | None:
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
-    return _kernel_poly(ps, max_deg)
+    # rank M <= n, so the first free column lies in the least degree D with
+    # C(d + D, d) > n columns; a larger max_deg only builds wider matrices
+    cap = next((D for D in range(max_deg) if monomial_count(ps.dim, D) > len(ps)), max_deg)
+    return _kernel_poly(ps, cap)
 
 
 @dataclass(frozen=True)
@@ -171,39 +171,65 @@ class FlatnessReport:
     witness_normals: dict[int, tuple[tuple[Scalar, ...], ...]]
 
 
+def _line_test(f: Polynomial, scales, gaussian: bool):
+    """A test that f vanishes on a line, on the integer image of scales s: by
+    `cleared` and `line_image`, f(point_at(t)) = 0 iff, checked at t = 0..deg,
+    sum_e w_e (B + tU)^e D^(deg - |e|) = 0."""
+    exps, w, _ = cleared(f, scales, gaussian)
+    deg = f.degree()
+
+    def vanishes_on(line: Line) -> bool:
+        D, B, U = line_image(line, scales, gaussian)
+        lift = [D ** (deg - sum(e)) for e in exps]
+        wd = [(x[0] * k, x[1] * k) if gaussian else x * k for x, k in zip(w, lift)]
+        pts = [[b + t * u for b, u in zip(B, U)] for t in range(deg + 1)]
+        return annihilates(monomial_rows(pts, exps, gaussian), wd, gaussian)
+
+    return vanishes_on
+
+
 def classify_flat_points(
     ps: PointSet, lines: list[Line], f: Polynomial
 ) -> FlatnessReport:
     """Label each point flat or joint relative to a line family killed by f.
 
     Requires f to vanish identically on every line of the family, which is
-    checked by evaluating at deg(f)+1 canonical parameters.  A point is flat
-    when the directions of its incident lines span at most a hyperplane (the
-    kernel of the direction matrix supplies witness normals); otherwise it
-    is a joint, and the gradient of f is then forced to vanish there, which
-    is also checked.
+    checked at the deg(f)+1 points `point_at(t)`, t = 0..deg(f).  A point is
+    flat when the directions of its incident lines span at most a hyperplane
+    (the kernel of the direction matrix supplies witness normals); otherwise
+    it is a joint, and the gradient of f is then forced to vanish there,
+    which is also checked.  Both checks run in integers on the image
+    y = s * p of `integer_coords` (`_line_test`, `cleared`); the gradient
+    holds the scalars `Polynomial.evaluate` gives, types included.
     """
     if f.is_zero():
         raise ValueError("need a nonzero polynomial")
     d = ps.dim
-    deg = f.degree()
+    ints, scales = integer_coords(ps)
+    gaussian = ps.field == FIELD_GAUSSIAN
+    vanishes_on = _line_test(f, scales, gaussian)
     for li, line in enumerate(lines):
-        for t in range(deg + 1):
-            if f.evaluate(line.point_at(Fraction(t))) != 0:
-                raise ValueError(f"polynomial does not vanish on line {li}")
+        if not vanishes_on(line):
+            raise ValueError(f"polynomial does not vanish on line {li}")
     by_point: dict[int, list[Line]] = {i: [] for i in range(len(ps))}
     for line in lines:
         for i in line.points:
             by_point[i].append(line)
-    grads = f.gradient()
-    labels = []
-    gradients = []
-    counts = []
+    # (w, L, whether evaluate gives a GaussianRational) of each partial
+    grads = [(*cleared(g, scales, gaussian)[1:], gaussian and any(
+        sum(e) or isinstance(c, GaussianRational) for e, c in g.terms.items()))
+        for g in f.gradient()]
+    rows = monomial_rows(ints, monomial_basis(d, max(f.degree() - 1, 0)).exponents, gaussian)
+    labels, gradients, counts = [], [], []
     witnesses: dict[int, tuple] = {}
-    for i, p in enumerate(ps.points):
+    for i, row in enumerate(rows):
         incident = by_point[i]
         counts.append(len(incident))
-        grad_val = tuple(g.evaluate(p) for g in grads)
+        vals = [int_dot(row, w, gaussian) for w, _, _ in grads]
+        grad_val = tuple(
+            GaussianRational(Fraction(v[0], L), Fraction(v[1], L)) if typed else Fraction(v[0], L)
+            for v, (_, L, typed) in zip(vals, grads)
+        )
         gradients.append(grad_val)
         kernel = right_nullspace([list(line.direction) for line in incident], d)
         if kernel:
@@ -211,11 +237,23 @@ def classify_flat_points(
             witnesses[i] = tuple(kernel)
         else:
             labels.append(JOINT)
-            if any(c != 0 for c in grad_val):
+            if any(map(any, vals)):
                 raise AssertionError(
                     f"joint {i} has nonzero gradient {grad_val}; calculus bug"
                 )
     return FlatnessReport(tuple(labels), tuple(gradients), tuple(counts), witnesses)
+
+
+def _members(ps: PointSet, planes) -> list[list[int]]:
+    """`Hyperplane.members(ps.points)` of each plane, found on the integer
+    image: normal . x - offset is a degree-1 polynomial (see `cleared`)."""
+    ints, scales = integer_coords(ps)
+    gaussian = ps.field == FIELD_GAUSSIAN
+    exps = monomial_basis(ps.dim, 1).exponents
+    rows = monomial_rows(ints, exps, gaussian)
+    hs = [Polynomial(ps.dim, {exps[0]: -H.offset, **dict(zip(exps[1:], H.normal))}) for H in planes]
+    ws = [cleared(h, scales, gaussian)[1] for h in hs]
+    return [[j for j, row in enumerate(rows) if annihilates([row], w, gaussian)] for w in ws]
 
 
 @dataclass
@@ -355,14 +393,14 @@ def extract_hyperplane(
     # deg(f)+1 exact parameters).  In the guaranteed regime every surviving
     # line carries at least r0 > deg(f)+1 core points, so nothing is lost;
     # after clamping this is the exact condition classification needs.
-    deg = f.degree()
+    vanishes_on = _line_test(f, integer_coords(sub_ps)[1], ps.field == FIELD_GAUSSIAN)
     qualifying: list[Line] = []
     for li in sorted(core_line_ids):
         members = sorted(sub_index[i] for i in lines[li].points if i in sub_index)
         if not members:
             continue
         line = lines[li].with_points(members)
-        if all(f.evaluate(line.point_at(Fraction(t))) == 0 for t in range(deg + 1)):
+        if vanishes_on(line):
             qualifying.append(line)
     trace.qualifying_lines = len(qualifying)
     if not qualifying:
@@ -389,7 +427,7 @@ def extract_hyperplane(
         trace.outcome = "no-flat-candidate"
         return ExtractionOutcome(None, (), f, trace)
 
-    members = {plane: plane.members(ps.points) for plane in first_point}
+    members = dict(zip(first_point, _members(ps, first_point)))
     plane = max(members, key=lambda H: len(members[H]))
     subset = tuple(members[plane])
     trace.chosen_point = first_point[plane]
@@ -422,7 +460,7 @@ def hyperplane_from_product(
         raise ValueError("hyperplane does not live over the ell-fold product")
     if ell == 1:
         out = make_hyperplane(plane.normal, plane.offset)
-        return out, tuple(out.members(ps.points))
+        return out, tuple(_members(ps, [out])[0])
     blocks = [tuple(plane.normal[i * d : (i + 1) * d]) for i in range(ell)]
     pivot_block = next(
         (i for i, b in enumerate(blocks) if any(c != 0 for c in b)), None
@@ -450,7 +488,7 @@ def hyperplane_from_product(
     if total == 0:
         raise ValueError("hyperplane misses the whole product configuration")
     projected = make_hyperplane(blocks[pivot_block], best_residual)
-    subset = tuple(projected.members(ps.points))
+    subset = tuple(_members(ps, [projected])[0])
     if len(subset) != best_count:
         raise AssertionError("fiber correspondence broken; projection bug")
     return projected, subset
@@ -525,7 +563,7 @@ def ap_hyperplane(ps: PointSet, r: int, ell: int) -> APPipelineOutcome:
     rest_normal = tuple(plane.normal[1:])
     rest_offset = plane.offset - slice_j * plane.normal[0]
     sliced = make_hyperplane(rest_normal, rest_offset)
-    members = sliced.members(product.points)
+    members = _members(product, [sliced])[0]
     if not members:
         raise AssertionError("sliced hyperplane misses the product; slicing bug")
     trace.product_density = Fraction(len(members), n**ell)

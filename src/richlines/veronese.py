@@ -17,7 +17,7 @@ from functools import reduce
 from math import comb, prod
 
 from .geometry import Point
-from .linalg import Matrix
+from .linalg import Matrix, gaussian_mul, integer_vector
 from .pointsets import PointSet, integer_coords
 from .scalars import FIELD_GAUSSIAN, Scalar
 
@@ -87,20 +87,38 @@ def veronese_matrix(ps: PointSet, r: int) -> Matrix:
     return Matrix(rows)
 
 
+def monomial_rows(points, exps, gaussian: bool = False):
+    """The monomials `exps` (a graded-lex basis) at each integer point of
+    `integer_coords`' form: ints, or (re, im) pairs of realified Q(i) points."""
+    one, mul = ((1, 0), gaussian_mul) if gaussian else (1, operator.mul)
+    top = sum(exps[-1])
+    if gaussian:
+        points = [zip(p[::2], p[1::2]) for p in points]
+    rows = []
+    for p in points:
+        powers = [list(itertools.accumulate(itertools.repeat(c, top), mul, initial=one)) for c in p]
+        rows.append([reduce(mul, (pw[k] for pw, k in zip(powers, e) if k), one) for e in exps])
+    return rows
+
+
 def integer_veronese(ps: PointSet, r: int):
     """veronese_matrix(ps, r) * diag(s^e) with its column scales s^e, where
     x_a -> s_a * x_a is `integer_coords`: ints, or (re, im) pairs over Q(i)."""
     ints, scales = integer_coords(ps)
-    one, mul = 1, operator.mul
-    if ps.field == FIELD_GAUSSIAN:
-        ints, scales, one = [list(zip(p[::2], p[1::2])) for p in ints], scales[::2], (1, 0)
-        mul = lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    gaussian = ps.field == FIELD_GAUSSIAN
     exps = monomial_basis(ps.dim, r).exponents
-    rows = []
-    for p in ints:
-        powers = [list(itertools.accumulate(itertools.repeat(c, r), mul, initial=one)) for c in p]
-        rows.append([reduce(mul, (pw[k] for pw, k in zip(powers, e) if k), one) for e in exps])
-    return rows, [prod(s**k for s, k in zip(scales, e)) for e in exps]
+    axis = scales[::2] if gaussian else scales
+    return monomial_rows(ints, exps, gaussian), [prod(map(pow, axis, e)) for e in exps]
+
+
+def cleared(f: "Polynomial", scales, gaussian: bool = False):
+    """(exps, w, L): exps the graded-lex basis of degree deg f, and L > 0 least
+    with every w_e = L * c_e / s^e a (Gaussian) integer for the scales s of
+    `integer_coords`, so f(p) = (row . w) / L for the `monomial_rows` at s * p."""
+    exps = monomial_basis(f.dim, f.degree()).exponents
+    axis = scales[::2] if gaussian else scales
+    vec = [f.terms.get(e, 0) * Fraction(1, prod(map(pow, axis, e))) for e in exps]
+    return (exps, *integer_vector(vec, gaussian))
 
 
 class Polynomial:

@@ -208,6 +208,24 @@ def test_cli_vanish_minimal_mode(tmp_path, capsys):
     assert payload["found"] is False
 
 
+def test_cli_vanish_minimal_mode_caps_a_large_r(tmp_path, capsys, monkeypatch):
+    # 16 points: C(2 + 5, 2) = 21 > 16 columns bound the search at degree 5,
+    # so r = 3000 builds no wider matrix than r = 7
+    pts = tmp_path / "pts.json"
+    main(["gen", "--kind", "grid", "--d", "2", "--h", "4", "--out", str(pts)])
+    built = []
+    real = vanishing.integer_veronese
+    monkeypatch.setattr(vanishing, "integer_veronese",
+                        lambda ps, deg: built.append(deg) or real(ps, min(deg, 6)))
+    polys = []
+    for r in ("7", "3000"):
+        capsys.readouterr()
+        assert main(["vanish", "--in", str(pts), "--r", r, "--mode", "minimal"]) == 0
+        polys.append(json.loads(capsys.readouterr().out)["polynomial"])
+    assert built == [5, 5]
+    assert polys[0] == polys[1] and polys[0] is not None
+
+
 def test_cli_vanish_minimal_mode_rejects_trace(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     argv = ["vanish", "--in", str(tmp_path / "missing.json"), "--r", "3"]

@@ -6,7 +6,8 @@ of r) one final tuple made of the last r points, which overlaps only its
 predecessor.  Every tuple of collinear points is linearly dependent after
 the degree r-2 monomial embedding, and those dependency coefficients become
 the rows of a sparse matrix A with A * M = 0, where M stacks the embedded
-points.  Support statistics (q, k, t) of A then feed exact rank bounds.
+points; rank(M) and a kernel vector come from M's integer image.  Support
+statistics (q, k, t) of A then feed exact rank bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .geometry import Line, canonical_line
 from .linalg import Matrix, annihilates, integer_vector, right_nullspace
 from .pointsets import PointSet
 from .scalars import FIELD_GAUSSIAN, Scalar, scalar_key
-from .veronese import integer_veronese, veronese_matrix
+from .veronese import integer_veronese
 
 
 def tuple_cover(line_points, r: int) -> list[tuple[int, ...]]:
@@ -163,19 +164,20 @@ def line_order(ps: PointSet, line: Line) -> list[int]:
 
 def assemble_design(
     ps: PointSet, lines: list[Line], r: int
-) -> tuple[DesignMatrix, Matrix]:
-    """Build the dependency matrix A over all line tuple covers plus the
-    embedded point matrix M, checking A * M = 0 exactly.
+) -> tuple[DesignMatrix, tuple[list, list]]:
+    """Build the dependency matrix A over all line tuple covers, checking
+    A * M = 0 exactly for the degree r-2 Veronese matrix M of V.
 
     Every line must be r-rich.  Rows appear in line order then block order;
     each row holds the dependency coefficients of one collinear r-tuple at
     the tuple's columns.  A row has a * M = 0 iff a, cleared to (Gaussian)
-    integers, annihilates the columns of the integer image M * diag(s^e).
+    integers, annihilates the columns of the integer image M * diag(s^e),
+    which is returned with A as the `integer_veronese` (rows, scales) pair.
     """
     n = len(ps)
     deg = r - 2
     gaussian = ps.field == FIELD_GAUSSIAN
-    m_int = integer_veronese(ps, deg)[0]
+    image = integer_veronese(ps, deg)
     per_line = []
     entries: dict[tuple[int, int], Scalar] = {}
     row = 0
@@ -187,7 +189,7 @@ def assemble_design(
         per_line.append(blocks)
         for block in blocks:
             alpha = dependency_coeffs([ps.points[i] for i in block], deg)
-            cols = zip(*(m_int[i] for i in block))
+            cols = zip(*(image[0][i] for i in block))
             if not annihilates(cols, integer_vector(alpha, gaussian)[0], gaussian):
                 raise ArithmeticError("A * M != 0: dependency rows are inconsistent")
             for idx, coef in zip(block, alpha):
@@ -196,7 +198,7 @@ def assemble_design(
     cover = TupleCover(r, tuple(per_line))
     q, k, t = measure_design_params(row, n, entries)
     A = DesignMatrix(row, n, entries, q, k, t, cover)
-    return A, veronese_matrix(ps, deg)
+    return A, image
 
 
 @dataclass(frozen=True)
@@ -221,12 +223,12 @@ class RankBoundReport:
         return self.holds_columns and self.holds_rows
 
 
-def rank_bound_report(A: DesignMatrix, M: Matrix | None = None) -> RankBoundReport:
+def rank_bound_report(A: DesignMatrix, rank_m: int | None = None) -> RankBoundReport:
     """Check rank(A) >= n - ntq^2/k and rank(A) >= n - mtq^2/k^2 exactly.
 
     With k = 0 (some column empty) both bounds are vacuous and reported as
-    holding.  When the embedded matrix M is supplied, also records
-    rank(A) + rank(M) <= n, which is forced by A * M = 0.
+    holding.  When the rank of the embedded matrix M is supplied, also
+    records rank(A) + rank(M) <= n, which is forced by A * M = 0.
     """
     rank = A.rank()
     n, m, q, k, t = A.cols, A.rows, A.q, A.k, A.t
@@ -237,11 +239,7 @@ def rank_bound_report(A: DesignMatrix, M: Matrix | None = None) -> RankBoundRepo
     else:
         b1 = b2 = None
         holds1 = holds2 = True
-    rank_m = None
-    rank_sum_ok = None
-    if M is not None:
-        rank_m = M.rank()
-        rank_sum_ok = rank + rank_m <= n
+    rank_sum_ok = None if rank_m is None else rank + rank_m <= n
     return RankBoundReport(rank, n, m, q, k, t, b1, b2, holds1, holds2, rank_m, rank_sum_ok)
 
 

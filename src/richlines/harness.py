@@ -549,7 +549,7 @@ def check_tuple_cover_properties(seed: int = 0) -> tuple[bool, str]:
     for d, h, r in [(2, 3, 3), (2, 4, 3), (3, 3, 3)]:
         ps = grid(d, h)
         lines = rich_lines(ps, r)
-        A, M = assemble_design(ps, lines, r)
+        A, _ = assemble_design(ps, lines, r)
         if A.q > r or A.t > 2:
             return False, f"grid({d},{h}) r={r}: parameters exceed (r, ., 2)"
         pair_mult: dict[tuple[int, int], int] = {}
@@ -573,7 +573,7 @@ def check_tuple_cover_properties(seed: int = 0) -> tuple[bool, str]:
         k, kmax = min(line_count), max(line_count)
         if kmax <= 8 * k and len(A.cover.all_tuples) * r > 16 * len(ps) * k:
             return False, f"grid({d},{h}) r={r}: cover size exceeds 16nk/r"
-        if not A.product_with(M).is_zero():
+        if not A.product_with(veronese_matrix(ps, r - 2)).is_zero():
             return False, f"grid({d},{h}) r={r}: A*M != 0"
     return True, "grid assemblies"
 

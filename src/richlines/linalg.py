@@ -1,12 +1,11 @@
 """Exact linear algebra over Q and Q(i): rank, RREF, nullspaces.
 
-Rank uses fraction-free (Bareiss) elimination in integers with a
-deterministic pivot rule (leftmost column, first row with a nonzero entry):
-rational rows are scaled to integers, and a Q(i) matrix A + iB is first
-realified to [[A, -B], [B, A]], whose rank over Q is twice its rank over
-Q(i).  A separate reduced-row-echelon routine, ordinary Gauss-Jordan over
-the field, provides nullspaces and doubles as an independent rank oracle
-for cross checks.  `first_kernel_vector` finds the first nullspace vector
+Rank has one core, `integer_rank`: fraction-free (Bareiss) elimination in
+integers with a deterministic pivot rule (leftmost column, first row with a
+nonzero entry); a Q(i) matrix A + iB is realified to [[A, -B], [B, A]],
+whose rank over Q is twice its rank over Q(i).  A separate
+reduced-row-echelon routine, ordinary Gauss-Jordan over the field, provides
+nullspaces and doubles as an independent rank oracle for cross checks.  `first_kernel_vector` finds the first nullspace vector
 of an integer image by a pivot profile mod p and an exact integer solve.
 """
 
@@ -63,20 +62,21 @@ class Matrix:
 
 
 def bareiss_rank(rows) -> int:
-    """Rank by fraction-free (Bareiss) elimination in integers.
-
-    A rational matrix is row-scaled to integers first (row scaling never
-    changes rank).  A Gaussian-rational matrix M = A + iB is realified: the
-    real matrix [[A, -B], [B, A]] represents M as a Q-linear map of twice
-    the dimensions, so its rank is twice the rank of M over Q(i).
-    """
+    """Rank of a matrix over Q or Q(i): each row is cleared to (Gaussian)
+    integers, which never changes the rank, and `integer_rank` takes over."""
     rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    if not any(isinstance(x, GaussianRational) for r in rows for x in r):
-        return _bareiss_core([integer_vector(r)[0] for r in rows])
-    big = _realified([(real_part(x), imag_part(x)) for x in r] for r in rows)
-    return _bareiss_core([integer_vector(r)[0] for r in big]) // 2
+    gaussian = any(isinstance(x, GaussianRational) for r in rows for x in r)
+    return integer_rank([integer_vector(r, gaussian)[0] for r in rows], gaussian)
+
+
+def integer_rank(rows, gaussian: bool = False) -> int:
+    """Rank of an integer matrix, which is left as it is, by fraction-free
+    (Bareiss) elimination.  Over Q(i) the entries of A + iB are (re, im)
+    pairs: the real matrix [[A, -B], [B, A]] represents it as a Q-linear map
+    of twice the dimensions, so its rank is twice the rank over Q(i)."""
+    if gaussian:
+        return _bareiss_core(_realified(rows)) // 2
+    return _bareiss_core([list(r) for r in rows])
 
 
 def _realified(rows) -> list:

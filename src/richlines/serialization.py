@@ -159,10 +159,32 @@ def jsonable(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _encode(value: Any, indent: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` at nesting `indent`, with
+    no closures: the pure-Python encoder that `indent` selects leaves a
+    reference cycle behind on every call."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [json.dumps(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def dumps_json(value: Any) -> str:
-    return json.dumps(jsonable(value), indent=2, sort_keys=True) + "\n"
+    return _encode(jsonable(value), "") + "\n"
 
 
 def load_json(path: str) -> Any:
+    """Parse a JSON file; nesting too deep to parse raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting is too deep") from None

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .designs import RankBoundReport, assemble_design, rank_bound_report
 from .geometry import Hyperplane, Line, dot, make_hyperplane
 from .incidence import IncidenceGraph, incidences, lift_progressions, line_image, rich_lines
-from .linalg import annihilates, first_kernel_vector, int_dot, right_nullspace
+from .linalg import annihilates, first_kernel_vector, int_dot, integer_rank, right_nullspace
 from .pointsets import PointSet, cartesian_power, check_cap, integer_coords
 from .refinement import dyadic_partition, refine
 from .scalars import FIELD_GAUSSIAN, GaussianRational, Scalar
@@ -47,12 +47,13 @@ class PipelineConstants:
         return cls(c, c / 2**11)
 
 
-def _kernel_poly(ps: PointSet, deg: int) -> Polynomial | None:
+def _kernel_poly(ps: PointSet, image, deg: int) -> Polynomial | None:
     """The first kernel vector of M, the degree <= deg evaluation matrix of V,
-    as a polynomial, or None; f(p_j) = (M_int w)_j is checked to be 0."""
+    as a polynomial, or None, from M's `integer_veronese` image; f(p_j) =
+    (M_int w)_j is checked to be 0."""
     if not ps.points:
         return None  # M is then an empty Matrix, with no columns
-    vec = first_kernel_vector(*integer_veronese(ps, deg), ps.field == FIELD_GAUSSIAN)
+    vec = first_kernel_vector(*image, ps.field == FIELD_GAUSSIAN)
     return None if vec is None else poly_from_coeff_vector(monomial_basis(ps.dim, deg), vec)
 
 
@@ -69,7 +70,7 @@ def find_vanishing_poly(ps: PointSet, max_deg: int) -> Polynomial | None:
     # rank M <= n, so the first free column lies in the least degree D with
     # C(d + D, d) > n columns; a larger max_deg only builds wider matrices
     cap = next((D for D in range(max_deg) if monomial_count(ps.dim, D) > len(ps)), max_deg)
-    return _kernel_poly(ps, cap)
+    return _kernel_poly(ps, integer_veronese(ps, cap), cap)
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,12 @@ def certified_vanishing_poly(
         threshold = Fraction(kd * n, r ** (d - 1))
         hyp_ok = r >= 4 and k_min >= threshold and k_max <= 8 * k_min
 
-    A, M = assemble_design(ps, lines, r)
-    bounds = rank_bound_report(A, M)
+    A, image = assemble_design(ps, lines, r)
+    bounds = rank_bound_report(A, integer_rank(image[0], ps.field == FIELD_GAUSSIAN))
     basis_size = monomial_count(d, r - 2)
     rank_m = bounds.rank_m
     deficient = rank_m < basis_size
-    f = _kernel_poly(ps, r - 2)
+    f = _kernel_poly(ps, image, r - 2)
     if (f is not None) != deficient:
         raise ArithmeticError(f"Bareiss rank {rank_m} of M and its first kernel vector disagree")
     cert = DesignCertificate(

@@ -21,7 +21,7 @@ from richlines.incidence import rich_lines
 from richlines.linalg import right_nullspace
 from richlines.pointsets import grid, pointset_from
 from richlines.scalars import GaussianRational, format_scalar
-from richlines.veronese import monomial_count, veronese_matrix
+from richlines.veronese import integer_veronese, monomial_count, veronese_matrix
 
 F = Fraction
 
@@ -178,10 +178,11 @@ def test_dependency_rows_match_veronese_left_kernel(pts):
 def test_assemble_grid_3x3():
     ps = grid(2, 3)
     lines = rich_lines(ps, 3)
-    A, M = assemble_design(ps, lines, 3)
+    A, image = assemble_design(ps, lines, 3)
     assert (A.rows, A.cols) == (8, 9)
-    assert (M.rows, M.cols) == (9, 3)
-    assert A.product_with(M).is_zero()
+    assert image == integer_veronese(ps, 1)
+    assert (len(image[0]), len(image[1])) == (9, 3)
+    assert A.product_with(veronese_matrix(ps, 1)).is_zero()
     assert A.q == 3 and A.t <= 2 and A.k >= 2
     assert verify_design(A) == (A.q, A.k, A.t)
 
@@ -189,9 +190,9 @@ def test_assemble_grid_3x3():
 def test_assemble_single_line():
     ps = pointset_from([(F(i), F(i)) for i in range(4)])
     lines = rich_lines(ps, 4)
-    A, M = assemble_design(ps, lines, 4)
+    A, _ = assemble_design(ps, lines, 4)
     assert A.rows == 1
-    assert A.product_with(M).is_zero()
+    assert A.product_with(veronese_matrix(ps, 2)).is_zero()
 
 
 def test_assemble_no_lines():
@@ -230,8 +231,8 @@ def test_assemble_rejects_a_perturbed_dependency_row(monkeypatch, gaussian, whic
             alpha = alpha[:2] + (alpha[2] + bump,) + alpha[3:]
         return alpha
 
-    A, M = assemble_design(ps, lines, 4)
-    assert A.product_with(M).is_zero()
+    A, _ = assemble_design(ps, lines, 4)
+    assert A.product_with(veronese_matrix(ps, 2)).is_zero()
     monkeypatch.setattr(designs, "dependency_coeffs", perturbed)
     with pytest.raises(ArithmeticError, match=r"A \* M != 0"):
         assemble_design(ps, lines, 4)
@@ -249,11 +250,11 @@ def test_assembly_rows_per_line_with_overlap():
     # the overlapping final triple
     ps = grid(2, 4)
     lines = rich_lines(ps, 3)
-    A, M = assemble_design(ps, lines, 3)
+    A, _ = assemble_design(ps, lines, 3)
     sizes = sorted(len(L.points) for L in lines)
     expected_rows = sum(2 if s == 4 else 1 for s in sizes)
     assert A.rows == expected_rows
-    assert A.product_with(M).is_zero()
+    assert A.product_with(veronese_matrix(ps, 1)).is_zero()
 
 
 # -- measured parameters -----------------------------------------------------
@@ -323,8 +324,8 @@ def test_rank_bound_identity():
 
 def test_rank_bound_grid_assembly():
     ps = grid(2, 3)
-    A, M = assemble_design(ps, rich_lines(ps, 3), 3)
-    rep = rank_bound_report(A, M)
+    A, _ = assemble_design(ps, rich_lines(ps, 3), 3)
+    rep = rank_bound_report(A, veronese_matrix(ps, 1).rank())
     assert rep.rank == 6
     assert rep.rank_m == 3
     assert rep.rank_sum_ok
@@ -369,8 +370,8 @@ def test_design_rank_deficiency_grid_3x3():
     ps = grid(3, 3)
     lines = rich_lines(ps, 3)
     assert len(lines) == 49
-    A, M = assemble_design(ps, lines, 3)
-    rep = rank_bound_report(A, M)
+    A, _ = assemble_design(ps, lines, 3)
+    rep = rank_bound_report(A, veronese_matrix(ps, 1).rank())
     assert rep.rank + rep.rank_m <= 27
     assert rep.rank_m == monomial_count(3, 1)
     assert rep.all_hold

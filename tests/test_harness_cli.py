@@ -455,6 +455,23 @@ def test_cli_malformed_point_set_is_one_error_line(doc):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, args",
+    [
+        ("--in", ["richlines", "--r", "3"]),
+        ("--config", ["sweep"]),
+        ("--base", ["gen", "--kind", "power"]),
+    ],
+)
+def test_cli_deeply_nested_json_is_one_error_line(tmp_path, capsys, flag, args):
+    # json.dump cannot write a document this deep, so the file is raw text.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main([*args, flag, str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path}: JSON nesting is too deep"]
+
+
 _VALID_CFG = {"generator": {"kind": "grid", "d": 2, "h": 3}, "r_values": [3]}
 
 

@@ -1,4 +1,5 @@
-"""Differential tests of `linalg.first_kernel_vector` on integer images.
+"""Differential tests of `linalg.first_kernel_vector` and `linalg.integer_rank`
+on integer images.
 
 The routine finds the first RREF kernel vector of M = M_int * diag(s)^-1
 from a pivot profile modulo a prime and an exact integer solve.  It is
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richlines import linalg
-from richlines.linalg import first_kernel_vector, right_nullspace
+from richlines.linalg import first_kernel_vector, integer_rank, right_nullspace, rref_rank
 from richlines.pointsets import pointset_from
 from richlines.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, format_scalar
 from richlines.veronese import integer_veronese, monomial_count, veronese_matrix
@@ -87,6 +88,19 @@ def test_first_kernel_vector_survives_unlucky_primes(case, primes):
     ps, deg = case
     with mock.patch.object(linalg, "_PRIMES", primes):
         assert _bytes(_fast(ps, deg)) == _bytes(_reference(ps, deg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(veronese_inputs())
+def test_integer_rank_of_the_image_is_the_field_rank(case):
+    # scaling a column by s^e != 0 keeps the rank, so M_int has the rank of M
+    ps, deg = case
+    rows, _ = integer_veronese(ps, deg)
+    before = [list(r) for r in rows]
+    assert integer_rank(rows, ps.field == FIELD_GAUSSIAN) == rref_rank(
+        veronese_matrix(ps, deg).row_list()
+    )
+    assert rows == before
 
 
 def test_integer_veronese_is_a_column_scaling():

@@ -1,3 +1,5 @@
+import gc
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from richlines.serialization import (
     dumps_json,
     hyperplane_from_dict,
     hyperplane_to_dict,
+    jsonable,
     line_from_dict,
     line_to_dict,
     pointset_from_dict,
@@ -87,6 +90,29 @@ def test_dumps_json_handles_nested_values():
     out = extract_hyperplane(pasted_grids(3, 2, 2, 3), 3)
     text = dumps_json({"trace": out.trace, "hyperplane": out.hyperplane})
     assert "subset_size" in text
+    edge_cases = {
+        "empty": [{}, [], {"a": {}, "b": []}, [[], [{}]]],
+        "strings": ["", "plain", "caf\u00e9 \u2603", "quote \" and \\ and \n"],
+        "leaves": [True, False, None, 0, -7, 2.5],
+        "\u00fcber": {"z": 1, "a": 2, "m": [3]},
+    }
+    for value in (jsonable(out.trace), jsonable(out.hyperplane), edge_cases, {}, [], "x", None):
+        assert dumps_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_json_leaves_no_garbage():
+    # The indenting pure-Python encoder of json.dumps leaves a reference cycle
+    # behind on every call; with the collector off, that shows up as garbage.
+    ps = grid(2, 3)
+    A, _ = assemble_design(ps, rich_lines(ps, 3), 3)
+    value = {"design": A, "points": ps, "lines": rich_lines(ps, 3)}
+    gc.collect()
+    gc.disable()
+    try:
+        dumps_json(value)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pointset_labels_roundtrip():

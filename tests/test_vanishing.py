@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import richlines.designs as designs
 import richlines.vanishing as vanishing
+import richlines.veronese as veronese
 from conftest import circle_points, coordinate_planes_config, restrict_to_line
 from richlines.geometry import make_hyperplane
 from richlines.incidence import max_hyperplane_subset, rich_lines
@@ -157,6 +159,24 @@ def test_certified_rank_and_kernel_must_agree(monkeypatch, ps, r, rank_m):
     monkeypatch.setattr(vanishing, "rank_bound_report", skewed)
     with pytest.raises(ArithmeticError, match="disagree"):
         certified_vanishing_poly(ps, r)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_certificate_builds_the_veronese_image_once(monkeypatch, field):
+    # A * M = 0, rank(M) and the kernel vector all come from one integer image
+    ps = grid(2, 4)
+    if field == "Qi":
+        a, b = GaussianRational(F(1, 2), 2), GaussianRational(F(-1, 3), F(1, 5))
+        ps = pointset_from([tuple(a * c + b for c in p) for p in ps.points], field)
+    built = []
+    for module in (designs, vanishing):
+        for name in ("integer_veronese", "veronese_matrix"):
+            real = getattr(veronese, name)
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real: built.append(_n) or _f(*a),
+                                raising=False)
+    f, cert = certified_vanishing_poly(ps, 4)
+    assert built == ["integer_veronese"]
+    assert f is None and cert.rank_m == veronese_matrix(ps, 2).rank() == 6
 
 
 def test_certified_requires_lines():

@@ -21,7 +21,7 @@ from random import Random
 from .geometry import Line, canonical_line
 from .linalg import Matrix, annihilates, integer_vector, right_nullspace
 from .pointsets import PointSet
-from .scalars import FIELD_GAUSSIAN, Scalar, scalar_key
+from .scalars import Scalar, scalar_key
 from .veronese import integer_veronese
 
 
@@ -176,8 +176,8 @@ def assemble_design(
     """
     n = len(ps)
     deg = r - 2
-    gaussian = ps.field == FIELD_GAUSSIAN
     image = integer_veronese(ps, deg)
+    gaussian = ps.integer_image[2]
     per_line = []
     entries: dict[tuple[int, int], Scalar] = {}
     row = 0

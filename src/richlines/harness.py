@@ -27,6 +27,7 @@ from .incidence import (
     rich_lines,
 )
 from .pointsets import (
+    POWER_DEPTH_CAP,
     PointSet,
     cartesian_power,
     grid,
@@ -64,6 +65,11 @@ class ExperimentConfig:
             raise ValueError(f"a sweep config must be a JSON object, got {type(data).__name__}")
         check_known_keys(data, [f.name for f in fields(cls)], "sweep config")
         generator = _object(data.get("generator"), "generator")
+        gen, depth = generator, 0  # build_pointset recurses once per power
+        while isinstance(gen, dict) and gen.get("kind") == "power":
+            gen, depth = gen.get("base"), depth + 1
+        if depth > POWER_DEPTH_CAP:
+            raise ValueError(f"generator nests {depth} powers, more than {POWER_DEPTH_CAP}")
         r_values = data.get("r_values")
         if not (isinstance(r_values, list) and r_values
                 and all(type(r) is int and r >= 2 for r in r_values)):

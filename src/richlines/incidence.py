@@ -1,7 +1,7 @@
 """Rich-line enumeration, incidence graphs, progression counting.
 
 Line enumeration groups all point pairs by an exact line key, computed on
-the integer image of V (`pointsets.integer_coords`), from which each rich
+the integer image of V (`PointSet.integer_image`), from which each rich
 line is decoded directly; progressions are stepped on that image too.
 Over Q the key of a pair (p, q) is the sign-canonical primitive direction
 together with the translation invariant p_i * d_piv - p_piv * d_i, which is
@@ -31,8 +31,8 @@ from .geometry import (
     vsub,
 )
 from .linalg import first_kernel_vector, integer_vector
-from .pointsets import PointSet, integer_coords
-from .scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, sign_positive
+from .pointsets import PointSet
+from .scalars import GaussianRational, sign_positive
 
 
 def _primitive(vec):
@@ -176,8 +176,7 @@ def rich_lines(ps: PointSet, r: int) -> list[Line]:
         raise ValueError("richness threshold must be at least 2")
     d = ps.dim
     n = len(ps)
-    pts, scales = integer_coords(ps)
-    gaussian = ps.field == FIELD_GAUSSIAN
+    pts, scales, gaussian = ps.integer_image
     groups: dict[tuple, list[int]] = {}
     if d == 2 and not gaussian:
         _group_pairs_int_2d(pts, groups)
@@ -232,7 +231,7 @@ class IncidenceGraph:
 
 def line_image(line: Line, scales, gaussian: bool = False):
     """(D, B, U), D > 0 least with B = D * s * base and U = D * s * direction
-    integral for the scales s of `integer_coords` (realified over Q(i), like
+    integral for the scales s of an `integer_image` (realified over Q(i), like
     the image), so that base + t * direction maps to (B + t U) / D."""
     axis = scales[::2] if gaussian else scales
     w, D = integer_vector([c * s for c, s in zip(line.base + line.direction, axis + axis)], gaussian)
@@ -244,8 +243,7 @@ def incidences(ps: PointSet, lines: list[Line]) -> IncidenceGraph:
     """Incidence graph of V against a line family, with exact membership
     checks on the integer image y = s * p: by `line_image`, p is on the line
     iff s_piv D y = s_piv B + y_piv U (Gaussian products over Q(i))."""
-    pts, scales = integer_coords(ps)
-    gaussian = ps.field == FIELD_GAUSSIAN
+    pts, scales, gaussian = ps.integer_image
     edges = []
     for li, line in enumerate(lines):
         D, B, U = line_image(line, scales, gaussian)
@@ -295,7 +293,7 @@ def count_aps(ps: PointSet, r: int) -> tuple[int, list[APRecord]]:
     if r < 2:
         raise ValueError("progression length must be at least 2")
     pts = ps.points
-    keys = integer_coords(ps)[0]
+    keys = ps.integer_image[0]
     members = set(keys)
     n = len(pts)
     records = []
@@ -360,10 +358,8 @@ def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
     pts = ps.points
     if d == 1:
         return 1, make_hyperplane((Fraction(1),), pts[0][0])
-    if ps.field == FIELD_RATIONAL:
-        key_fn, keyed = _int_plane_key, integer_coords(ps)[0]
-    else:
-        key_fn, keyed = _field_plane_key, pts
+    ints, scales, gaussian = ps.integer_image
+    key_fn, keyed = (_field_plane_key, pts) if gaussian else (_int_plane_key, ints)
     planes: dict = {}  # key -> (first spanning subset, union of spanning subsets)
     for combo in itertools.combinations(range(len(pts)), d):
         key = key_fn([keyed[i] for i in combo])
@@ -374,9 +370,8 @@ def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
         return len(members), _field_plane_key([pts[i] for i in combo])
     # Affinely degenerate: the span misses a full hyperplane, so take the
     # first RREF kernel vector of the differences, found on their integer image.
-    ints, scales = integer_coords(ps)
     diffs = [vsub(p, ints[0]) for p in ints[1:]]
-    if ps.field == FIELD_GAUSSIAN:
+    if gaussian:
         diffs, scales = [list(zip(p[::2], p[1::2])) for p in diffs], scales[::2]
-    normal = first_kernel_vector(diffs, scales, ps.field == FIELD_GAUSSIAN)
+    normal = first_kernel_vector(diffs, scales, gaussian)
     return len(pts), make_hyperplane(normal, dot(pts[0], normal))

@@ -3,7 +3,7 @@
 The line oracle is cubic: for every point pair it scans all other points
 for collinearity and emits a maximal collinear set once, keyed by its two
 lowest indices.  Over Q it runs on the integer image of
-`pointsets.integer_coords` (an invertible per-axis scaling, so collinearity
+`PointSet.integer_image` (an invertible per-axis scaling, so collinearity
 is untouched), which keeps it exact and fast enough for the
 n <= a-few-hundred audits.  Over Q(i) the same cross-product test runs in
 field arithmetic on V itself, so it stays independent of the realified
@@ -13,8 +13,7 @@ stays on field arithmetic throughout, independent of that model.
 
 from __future__ import annotations
 
-from .pointsets import PointSet, integer_coords
-from .scalars import FIELD_RATIONAL
+from .pointsets import PointSet
 
 
 def _collinear(p, q, s, d) -> bool:
@@ -31,7 +30,8 @@ def collinear_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
     """Index sets of all maximal collinear groups of size >= r, by brute force."""
     if r < 2:
         raise ValueError("need r >= 2")
-    pts = integer_coords(ps)[0] if ps.field == FIELD_RATIONAL else ps.points
+    ints, _, gaussian = ps.integer_image
+    pts = ps.points if gaussian else ints
     n = len(pts)
     d = ps.dim
     groups: set[frozenset[int]] = set()

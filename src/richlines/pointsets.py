@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +23,7 @@ from .scalars import (
 
 DEFAULT_SIZE_CAP = 20000
 COORDS_PER_POINT = 16
+POWER_DEPTH_CAP = 32  # powers a generator may nest; a power of a power is one power
 SIZE_CAP_ENV = "RICHLINES_SIZE_CAP"
 
 
@@ -48,16 +50,19 @@ def check_power_cap(h: int, e: int, dim: int, copies: int = 1) -> None:
     """Cap a configuration of copies * h**e points in C^dim.
 
     The points are capped at `size_cap()` and their n * dim coordinates at
-    COORDS_PER_POINT times that.  The dimension and the exponent are checked
-    before h**e is built, so a huge d fails at once instead of building a
-    huge power or an endless product.
+    COORDS_PER_POINT times that.  The base, the exponent and the dimension
+    are checked before h**e is built, so a huge h, e or d fails at once
+    instead of building a huge power (whose digits may be too many to print)
+    or an endless product.
     """
     cap = size_cap()
     coord_cap = COORDS_PER_POINT * cap
-    if dim > coord_cap:
-        raise SizeCapError(f"configuration in dimension {dim} exceeds coordinate cap {coord_cap}")
+    if e > 1 and h > cap:  # then h**e > h > cap
+        raise SizeCapError(f"configuration of more than {cap} points exceeds cap {cap}")
     if h > 1 and e > cap.bit_length():  # then h**e >= 2**e > cap
         raise SizeCapError(f"configuration of {h}**{e} points exceeds cap {cap}")
+    if dim > coord_cap:
+        raise SizeCapError(f"configuration in dimension {dim} exceeds coordinate cap {coord_cap}")
     n = copies * h**e
     check_cap(n)
     if n * dim > coord_cap:
@@ -99,33 +104,34 @@ class PointSet:
             tuple(self.labels[i] for i in idx) if self.labels else None,
         )
 
+    @cached_property
+    def integer_image(self):
+        """(points, scales, gaussian): the integer image of V under
+        x_a -> s_a * x_a, the scale of each image coordinate, and whether V
+        lies over Q(i).  Built on first use and kept with the point set.
 
-def integer_coords(ps: PointSet):
-    """Integer image of V under x_a -> s_a * x_a, with the scale of each
-    image coordinate.
-
-    s_a is the lcm of the denominators on axis a (of both parts over Q(i)),
-    so every image coordinate is an integer.  A Q(i) point is stored
-    realified, as (re_0, im_0, ..., re_{d-1}, im_{d-1}) with both parts of
-    axis a scaled by s_a, and its scales come back as (s_0, s_0, s_1, ...).
-    The map is affine over V's field and invertible, so lines, progressions
-    and hyperplanes of V are those of the image (over Q(i), with addition
-    componentwise on the parts), which lets exact geometry run in integer
-    arithmetic.
-    """
-    pts = ps.points
-    gaussian = ps.field == FIELD_GAUSSIAN
-    if gaussian:
-        pts = [tuple(x for c in p for x in (real_part(c), imag_part(c))) for p in pts]
-    width = ps.dim * (2 if gaussian else 1)
-    scales = tuple(lcm(*(p[a].denominator for p in pts)) for a in range(width))
-    if gaussian:
-        scales = tuple(lcm(scales[a & ~1], scales[a | 1]) for a in range(len(scales)))
-    ints = [
-        tuple(c.numerator * (s // c.denominator) for c, s in zip(p, scales))
-        for p in pts
-    ]
-    return ints, scales
+        s_a is the lcm of the denominators on axis a (of both parts over Q(i)),
+        so every image coordinate is an integer.  A Q(i) point is stored
+        realified, as (re_0, im_0, ..., re_{d-1}, im_{d-1}) with both parts of
+        axis a scaled by s_a, and its scales come back as (s_0, s_0, s_1, ...).
+        The map is affine over V's field and invertible, so lines, progressions
+        and hyperplanes of V are those of the image (over Q(i), with addition
+        componentwise on the parts), which lets exact geometry run in integer
+        arithmetic.
+        """
+        pts = self.points
+        gaussian = self.field == FIELD_GAUSSIAN
+        if gaussian:
+            pts = [tuple(x for c in p for x in (real_part(c), imag_part(c))) for p in pts]
+        width = self.dim * (2 if gaussian else 1)
+        scales = tuple(lcm(*(p[a].denominator for p in pts)) for a in range(width))
+        if gaussian:
+            scales = tuple(lcm(scales[a & ~1], scales[a | 1]) for a in range(len(scales)))
+        ints = tuple(
+            tuple(c.numerator * (s // c.denominator) for c, s in zip(p, scales))
+            for p in pts
+        )
+        return ints, scales, gaussian
 
 
 def pointset_from(points, field: str | None = None, labels=None) -> PointSet:

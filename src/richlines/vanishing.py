@@ -20,9 +20,9 @@ from .designs import RankBoundReport, assemble_design, rank_bound_report
 from .geometry import Hyperplane, Line, dot, make_hyperplane
 from .incidence import IncidenceGraph, incidences, lift_progressions, line_image, rich_lines
 from .linalg import annihilates, first_kernel_vector, int_dot, integer_rank, right_nullspace
-from .pointsets import PointSet, cartesian_power, check_cap, integer_coords
+from .pointsets import PointSet, cartesian_power, check_power_cap
 from .refinement import dyadic_partition, refine
-from .scalars import FIELD_GAUSSIAN, GaussianRational, Scalar
+from .scalars import GaussianRational, Scalar
 from .veronese import (
     Polynomial, cleared, integer_veronese, monomial_basis, monomial_count,
     monomial_rows, poly_from_coeff_vector,
@@ -53,7 +53,7 @@ def _kernel_poly(ps: PointSet, image, deg: int) -> Polynomial | None:
     (M_int w)_j is checked to be 0."""
     if not ps.points:
         return None  # M is then an empty Matrix, with no columns
-    vec = first_kernel_vector(*image, ps.field == FIELD_GAUSSIAN)
+    vec = first_kernel_vector(*image, ps.integer_image[2])
     return None if vec is None else poly_from_coeff_vector(monomial_basis(ps.dim, deg), vec)
 
 
@@ -132,7 +132,7 @@ def certified_vanishing_poly(
         hyp_ok = r >= 4 and k_min >= threshold and k_max <= 8 * k_min
 
     A, image = assemble_design(ps, lines, r)
-    bounds = rank_bound_report(A, integer_rank(image[0], ps.field == FIELD_GAUSSIAN))
+    bounds = rank_bound_report(A, integer_rank(image[0], ps.integer_image[2]))
     basis_size = monomial_count(d, r - 2)
     rank_m = bounds.rank_m
     deficient = rank_m < basis_size
@@ -200,14 +200,13 @@ def classify_flat_points(
     (the kernel of the direction matrix supplies witness normals); otherwise
     it is a joint, and the gradient of f is then forced to vanish there,
     which is also checked.  Both checks run in integers on the image
-    y = s * p of `integer_coords` (`_line_test`, `cleared`); the gradient
+    y = s * p of `PointSet.integer_image` (`_line_test`, `cleared`); the gradient
     holds the scalars `Polynomial.evaluate` gives, types included.
     """
     if f.is_zero():
         raise ValueError("need a nonzero polynomial")
     d = ps.dim
-    ints, scales = integer_coords(ps)
-    gaussian = ps.field == FIELD_GAUSSIAN
+    ints, scales, gaussian = ps.integer_image
     vanishes_on = _line_test(f, scales, gaussian)
     for li, line in enumerate(lines):
         if not vanishes_on(line):
@@ -248,8 +247,7 @@ def classify_flat_points(
 def _members(ps: PointSet, planes) -> list[list[int]]:
     """`Hyperplane.members(ps.points)` of each plane, found on the integer
     image: normal . x - offset is a degree-1 polynomial (see `cleared`)."""
-    ints, scales = integer_coords(ps)
-    gaussian = ps.field == FIELD_GAUSSIAN
+    ints, scales, gaussian = ps.integer_image
     exps = monomial_basis(ps.dim, 1).exponents
     rows = monomial_rows(ints, exps, gaussian)
     hs = [Polynomial(ps.dim, {exps[0]: -H.offset, **dict(zip(exps[1:], H.normal))}) for H in planes]
@@ -394,7 +392,7 @@ def extract_hyperplane(
     # deg(f)+1 exact parameters).  In the guaranteed regime every surviving
     # line carries at least r0 > deg(f)+1 core points, so nothing is lost;
     # after clamping this is the exact condition classification needs.
-    vanishes_on = _line_test(f, integer_coords(sub_ps)[1], ps.field == FIELD_GAUSSIAN)
+    vanishes_on = _line_test(f, *sub_ps.integer_image[1:])
     qualifying: list[Line] = []
     for li in sorted(core_line_ids):
         members = sorted(sub_index[i] for i in lines[li].points if i in sub_index)
@@ -459,9 +457,6 @@ def hyperplane_from_product(
     d = ps.dim
     if len(plane.normal) != d * ell:
         raise ValueError("hyperplane does not live over the ell-fold product")
-    if ell == 1:
-        out = make_hyperplane(plane.normal, plane.offset)
-        return out, tuple(_members(ps, [out])[0])
     blocks = [tuple(plane.normal[i * d : (i + 1) * d]) for i in range(ell)]
     pivot_block = next(
         (i for i, b in enumerate(blocks) if any(c != 0 for c in b)), None
@@ -531,7 +526,7 @@ def ap_hyperplane(ps: PointSet, r: int, ell: int) -> APPipelineOutcome:
     if ell < 1:
         raise ValueError("ell must be positive")
     n = len(ps)
-    check_cap(r * n**ell)
+    check_power_cap(n, ell, 1 + ps.dim * ell, r)  # {0..r-1} x V^ell
     trace = APPipelineTrace()
     product = cartesian_power(ps, ell)
     lifted, records, lines = lift_progressions(product, r)

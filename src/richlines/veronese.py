@@ -18,8 +18,8 @@ from math import comb, prod
 
 from .geometry import Point
 from .linalg import Matrix, gaussian_mul, integer_vector
-from .pointsets import PointSet, integer_coords
-from .scalars import FIELD_GAUSSIAN, Scalar
+from .pointsets import PointSet
+from .scalars import Scalar
 
 
 def monomial_count(d: int, r: int) -> int:
@@ -89,7 +89,7 @@ def veronese_matrix(ps: PointSet, r: int) -> Matrix:
 
 def monomial_rows(points, exps, gaussian: bool = False):
     """The monomials `exps` (a graded-lex basis) at each integer point of
-    `integer_coords`' form: ints, or (re, im) pairs of realified Q(i) points."""
+    `integer_image`'s form: ints, or (re, im) pairs of realified Q(i) points."""
     one, mul = ((1, 0), gaussian_mul) if gaussian else (1, operator.mul)
     top = sum(exps[-1])
     if gaussian:
@@ -103,9 +103,8 @@ def monomial_rows(points, exps, gaussian: bool = False):
 
 def integer_veronese(ps: PointSet, r: int):
     """veronese_matrix(ps, r) * diag(s^e) with its column scales s^e, where
-    x_a -> s_a * x_a is `integer_coords`: ints, or (re, im) pairs over Q(i)."""
-    ints, scales = integer_coords(ps)
-    gaussian = ps.field == FIELD_GAUSSIAN
+    x_a -> s_a * x_a is `ps.integer_image`: ints, or (re, im) pairs over Q(i)."""
+    ints, scales, gaussian = ps.integer_image
     exps = monomial_basis(ps.dim, r).exponents
     axis = scales[::2] if gaussian else scales
     return monomial_rows(ints, exps, gaussian), [prod(map(pow, axis, e)) for e in exps]
@@ -114,7 +113,7 @@ def integer_veronese(ps: PointSet, r: int):
 def cleared(f: "Polynomial", scales, gaussian: bool = False):
     """(exps, w, L): exps the graded-lex basis of degree deg f, and L > 0 least
     with every w_e = L * c_e / s^e a (Gaussian) integer for the scales s of
-    `integer_coords`, so f(p) = (row . w) / L for the `monomial_rows` at s * p."""
+    an `integer_image`, so f(p) = (row . w) / L for the `monomial_rows` at s * p."""
     exps = monomial_basis(f.dim, f.degree()).exponents
     axis = scales[::2] if gaussian else scales
     vec = [f.terms.get(e, 0) * Fraction(1, prod(map(pow, axis, e))) for e in exps]

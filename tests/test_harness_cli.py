@@ -247,6 +247,15 @@ def test_cli_hyperplane(tmp_path, capsys):
     assert payload["found"] and len(payload["subset"]) == 16
 
 
+def test_cli_progressions_cap_the_lifted_power_before_building_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RICHLINES_SIZE_CAP", "100")
+    pts = tmp_path / "pts.json"
+    assert main(["gen", "--kind", "grid", "--d", "2", "--h", "5", "--out", str(pts)]) == 0
+    argv = ["hyperplane", "--in", str(pts), "--r", "4", "--progressions", "--ell", "1000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: configuration of 25**1000000 points exceeds cap 100\n"
+
+
 def test_cli_verify_bounds(capsys):
     assert main(["verify", "--suite", "bounds"]) == 0
     out = capsys.readouterr().out
@@ -483,6 +492,13 @@ def _gen_with(gen, key, value):
     return _cfg_with("generator", {**gen, key: value})
 
 
+def _nested_power(depth):
+    gen = {"kind": "grid", "d": 1, "h": 2}
+    for _ in range(depth):
+        gen = {"kind": "power", "base": gen, "ell": 1}
+    return gen
+
+
 _not_int = _json_values.filter(lambda v: type(v) is not int)
 # not a size, nor a list of sizes (a list "h" sweeps over its values)
 _not_size = _not_int.filter(lambda v: not (
@@ -558,6 +574,8 @@ _malformed_cfgs = st.one_of(
     _huge.map(lambda d: _gen_with(_generators["pasted"], "d", d)),
     _huge.map(lambda e: _gen_with(_generators["power"], "ell", e)),
     _huge.map(lambda d: _cfg_with("generator", {"kind": "sumproduct", "A": [1], "Q": [0], "d": d})),
+    # powers nested past the recursion limit, rejected before any set is built
+    st.just(_cfg_with("generator", _nested_power(600))),
 )
 
 

@@ -1,7 +1,7 @@
 """Differential tests of the integer-image evaluator.
 
 f, its partials, line membership and hyperplane membership are evaluated
-on the integer image y = s * p of `integer_coords` (`veronese.cleared`,
+on the integer image y = s * p of `PointSet.integer_image` (`veronese.cleared`,
 `vanishing._line_test`, `vanishing._members`, `incidence.incidences`).
 Each is checked against the field-arithmetic reference it replaced:
 `Polynomial.evaluate` (by type and `format_scalar` bytes), the
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import richlines.vanishing as vanishing
 from richlines.geometry import Line, canonical_line, dot, make_hyperplane
 from richlines.incidence import incidences
-from richlines.pointsets import integer_coords, pointset_from
+from richlines.pointsets import pointset_from
 from richlines.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, format_scalar
 from richlines.vanishing import classify_flat_points, find_vanishing_poly, hyperplane_from_product
 from richlines.linalg import int_dot
@@ -85,8 +85,7 @@ def eval_cases(draw):
 @given(eval_cases())
 def test_image_values_and_gradients_match_evaluate(case):
     ps, f = case
-    gaussian = ps.field == FIELD_GAUSSIAN
-    ints, scales = integer_coords(ps)
+    ints, scales, gaussian = ps.integer_image
     exps, w, L = cleared(f, scales, gaussian)
     assert L > 0
     for row, p in zip(monomial_rows(ints, exps, gaussian), ps.points):
@@ -147,8 +146,8 @@ def line_cases(draw):
 @given(line_cases())
 def test_line_test_matches_point_at_check(case):
     ps, lines, f = case
-    gaussian = ps.field == FIELD_GAUSSIAN
-    vanishes_on = vanishing._line_test(f, integer_coords(ps)[1], gaussian)
+    _, scales, gaussian = ps.integer_image
+    vanishes_on = vanishing._line_test(f, scales, gaussian)
     expected = [_reference_vanishes(f, line) for line in lines]
     assert [vanishes_on(line) for line in lines] == expected
     # the test reads only the line, never its listed points

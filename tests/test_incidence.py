@@ -24,7 +24,6 @@ from richlines.oracle import ap_count_oracle, collinear_groups, rich_lines_match
 from richlines.pointsets import (
     cartesian_power,
     grid,
-    integer_coords,
     pointset_from,
 )
 from richlines.scalars import FIELD_GAUSSIAN, GaussianRational, format_scalar
@@ -160,7 +159,8 @@ rational_points = st.integers(min_value=2, max_value=3).flatmap(
 @given(rational_points)
 def test_integer_coords_is_a_per_axis_scaling(raw):
     ps = pointset_from(raw)
-    ints, scales = integer_coords(ps)
+    ints, scales, gaussian = ps.integer_image
+    assert not gaussian
     assert all(isinstance(c, int) for p in ints for c in p)
     for p, q in zip(ints, ps.points):
         for a in range(ps.dim):
@@ -183,7 +183,8 @@ def test_integer_coords_is_a_per_axis_scaling_over_gaussian(raw):
     # realified (re_0, im_0, re_1, ...) with both parts of axis a scaled by
     # the lcm s_a of their denominators, the scales repeated to match
     ps = pointset_from(raw, FIELD_GAUSSIAN)
-    ints, scales = integer_coords(ps)
+    ints, scales, gaussian = ps.integer_image
+    assert gaussian
     assert all(isinstance(c, int) for p in ints for c in p)
     for a in range(ps.dim):
         parts = [x for q in ps.points for x in (q[a].re, q[a].im)]

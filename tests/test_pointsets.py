@@ -13,6 +13,7 @@ from richlines.pointsets import (
     pointset_from,
     sumproduct_config,
 )
+from richlines.serialization import pointset_to_dict
 
 F = Fraction
 
@@ -189,3 +190,26 @@ def test_size_cap_checks_the_exponent_before_the_power(monkeypatch):
         cartesian_power(grid(1, 2), 1000)
     with pytest.raises(SizeCapError, match="128 points"):
         grid(7, 2)  # 7 = bit_length(100): built, then counted
+
+
+def test_size_cap_checks_the_base_before_the_power(monkeypatch):
+    monkeypatch.setenv("RICHLINES_SIZE_CAP", "100")
+    # (10**5000)**2 has too many digits to print; the base alone is too big
+    with pytest.raises(SizeCapError, match="^configuration of more than 100 points exceeds cap 100$"):
+        grid(2, 10**5000)
+    with pytest.raises(SizeCapError, match="more than 100 points"):
+        pasted_grids(3, 2, 2, 10**5000)
+
+
+def test_integer_image_is_kept_outside_the_fields():
+    ps, twin = grid(2, 3), grid(2, 3)
+    before = (hash(ps), repr(ps), pointset_to_dict(ps))
+    image = ps.integer_image
+    assert ps.integer_image is image
+    assert isinstance(image[0], tuple) and all(isinstance(p, tuple) for p in image[0])
+    assert ps == twin and before == (hash(ps), repr(ps), pointset_to_dict(ps))
+    sub = ps.subset([4, 8])
+    assert sub == twin.subset([4, 8]) and "integer_image" not in vars(sub)
+    half = pointset_from([(F(1, 2), F(0)), (F(1), F(1, 3))])
+    assert half.subset([1]).integer_image == (((1, 1),), (1, 3), False)
+    assert half.integer_image == (((1, 0), (2, 1)), (2, 3), False)

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ import richlines.veronese as veronese
 from conftest import circle_points, coordinate_planes_config, restrict_to_line
 from richlines.geometry import make_hyperplane
 from richlines.incidence import max_hyperplane_subset, rich_lines
-from richlines.pointsets import grid, pasted_grids, pointset_from
+from richlines.pointsets import PointSet, grid, pasted_grids, pointset_from
 from richlines.vanishing import (
     FLAT,
     JOINT,
@@ -177,6 +178,20 @@ def test_certificate_builds_the_veronese_image_once(monkeypatch, field):
     f, cert = certified_vanishing_poly(ps, 4)
     assert built == ["integer_veronese"]
     assert f is None and cert.rank_m == veronese_matrix(ps, 2).rank() == 6
+
+
+def test_pipelines_build_each_integer_image_once(monkeypatch):
+    # record the size of each point set whose integer image is built
+    built, build = [], PointSet.integer_image.func
+    prop = cached_property(lambda ps: built.append(len(ps)) or build(ps))
+    prop.__set_name__(PointSet, "integer_image")
+    monkeypatch.setattr(PointSet, "integer_image", prop)
+    certified_vanishing_poly(grid(2, 5), 4)
+    assert built == [25]
+    built.clear()
+    ps = pasted_grids(3, 2, 2, 4)
+    out = extract_hyperplane(ps, 4)
+    assert out.found and built == [len(ps), out.trace.second_points] and built[1] < len(ps)
 
 
 def test_certified_requires_lines():
@@ -377,11 +392,12 @@ def test_product_descent_second_block_pivot():
     assert subset == (1,)
 
 
-def test_product_descent_rejects_disjoint_plane():
+@pytest.mark.parametrize("ell", [1, 2])
+def test_product_descent_rejects_disjoint_plane(ell):
     ps = pointset_from([(F(1),), (F(2),)])
-    plane = make_hyperplane((F(1), F(1)), F(100))
-    with pytest.raises(ValueError):
-        hyperplane_from_product(plane, ps, 2)
+    plane = make_hyperplane((F(1),) * ell, F(100))
+    with pytest.raises(ValueError, match="misses the whole product"):
+        hyperplane_from_product(plane, ps, ell)
 
 
 def test_product_descent_density_guarantee_randomized(rng):

@@ -4,10 +4,13 @@ Each rich line contributes a cover of its points by r-tuples: consecutive
 disjoint blocks in line order, plus (when the point count is not a multiple
 of r) one final tuple made of the last r points, which overlaps only its
 predecessor.  Every tuple of collinear points is linearly dependent after
-the degree r-2 monomial embedding, and those dependency coefficients become
-the rows of a sparse matrix A with A * M = 0, where M stacks the embedded
-points; rank(M) and a kernel vector come from M's integer image.  Support
-statistics (q, k, t) of A then feed exact rank bounds.
+the degree r-2 monomial embedding, with the barycentric weights of the
+points' line parameters as coefficients (`dependency_row`, a closed form;
+`dependency_coeffs` finds the same row as a Vandermonde kernel and is the
+reference).  Those rows make a sparse matrix A with A * M = 0, where M
+stacks the embedded points; rank(M) and a kernel vector come from M's
+integer image.  Support statistics (q, k, t) of A then feed exact rank
+bounds.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import prod
 from random import Random
 
 from .geometry import Line, canonical_line
-from .linalg import Matrix, annihilates, integer_vector, right_nullspace
+from .incidence import first_off_line
+from .linalg import Matrix, annihilates, gaussian_mul, integer_vector, right_nullspace
 from .pointsets import PointSet
-from .scalars import Scalar, scalar_key
+from .scalars import GaussianRational, Scalar, scalar_key
 from .veronese import integer_veronese
 
 
@@ -52,6 +58,11 @@ def dependency_coeffs(points, deg: int) -> tuple[Scalar, ...]:
     parameters that kernel is one dimensional with all entries nonzero;
     anything else signals a bug.  The result is scaled so its first entry is
     1.  Non-collinear or repeated points and a wrong degree raise ValueError.
+
+    This is the elimination reference for the closed form `dependency_row`,
+    which builds the rows of `assemble_design`; the tests compare the two.
+    It stays in this module while the benchmark's span-nesting test calls it
+    to reach `linalg.rref`.
     """
     pts = [tuple(p) for p in points]
     r = len(pts)
@@ -75,6 +86,40 @@ def dependency_coeffs(points, deg: int) -> tuple[Scalar, ...]:
     if any(a == 0 for a in alpha):
         raise ArithmeticError("dependency coefficients must all be nonzero")
     return alpha
+
+
+def dependency_row(ts, gaussian: bool = False) -> tuple[Scalar, ...]:
+    """The row `dependency_coeffs` finds for r collinear points, in closed form
+    from integer parameters t_j of the points along their line (in the
+    tuple's order): ints, or Gaussian integers as (re, im) pairs over Q(i).
+    The pivot coordinates of the points' integer image are such parameters.
+
+    A polynomial of degree <= r-2 in t has zero (r-1)-th divided difference,
+    sum_j g(t_j) / prod_{i != j} (t_j - t_i) = 0, so the barycentric weights
+    1 / prod_{i != j} (t_j - t_i) span the Vandermonde kernel; scaled so that
+    the first entry is 1, a_j = prod_{i != 0} (t_0 - t_i) / prod_{i != j}
+    (t_j - t_i).  That ratio does not change when the parameters undergo an
+    affine map t -> c t + b, c != 0, so any affine parameter of the line
+    gives the same row.  Entries are Fractions over Q and GaussianRationals
+    over Q(i), except that the r = 2 row is the rationals (1, -1) over either
+    field, as the Vandermonde kernel gives it.  The parameters must be
+    distinct.
+    """
+    if len(ts) == 2:
+        return (Fraction(1), Fraction(-1))
+    if not gaussian:
+        w = [prod(tj - ti for i, ti in enumerate(ts) if i != j) for j, tj in enumerate(ts)]
+        return tuple(Fraction(w[0], x) for x in w)
+    w = [
+        reduce(gaussian_mul, ((a - c, b - e) for i, (c, e) in enumerate(ts) if i != j))
+        for j, (a, b) in enumerate(ts)
+    ]
+    p, q = w[0]
+    row = []
+    for x, y in w:  # w_0 / w_j = w_0 * conj(w_j) / |w_j|^2
+        n = x * x + y * y
+        row.append(GaussianRational(Fraction(p * x + q * y, n), Fraction(q * x - p * y, n)))
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -159,7 +204,8 @@ def verify_design(A: DesignMatrix) -> tuple[int, int, int]:
 def line_order(ps: PointSet, line: Line) -> list[int]:
     """Incident indices sorted by exact line parameter (real part, then
     imaginary part)."""
-    return sorted(line.points, key=lambda i: scalar_key(line.parameter_of(ps.points[i])))
+    piv = line.pivot  # the parameter of a point is its pivot coordinate
+    return sorted(line.points, key=lambda i: scalar_key(ps.points[i][piv]))
 
 
 def assemble_design(
@@ -168,27 +214,34 @@ def assemble_design(
     """Build the dependency matrix A over all line tuple covers, checking
     A * M = 0 exactly for the degree r-2 Veronese matrix M of V.
 
-    Every line must be r-rich.  Rows appear in line order then block order;
-    each row holds the dependency coefficients of one collinear r-tuple at
-    the tuple's columns.  A row has a * M = 0 iff a, cleared to (Gaussian)
-    integers, annihilates the columns of the integer image M * diag(s^e),
-    which is returned with A as the `integer_veronese` (rows, scales) pair.
+    Every line must be canonical and r-rich, and list distinct indices of
+    points of V on it; each line is checked once, on the integer image.
+    Rows appear in line order then block order; each row holds the
+    `dependency_row` of one collinear r-tuple at the tuple's columns.  A row
+    has a * M = 0 iff a, cleared to (Gaussian) integers, annihilates the
+    columns of the integer image M * diag(s^e), which is returned with A as
+    the `integer_veronese` (rows, scales) pair.
     """
     n = len(ps)
-    deg = r - 2
-    image = integer_veronese(ps, deg)
-    gaussian = ps.integer_image[2]
+    image = integer_veronese(ps, r - 2)
+    pts, _, gaussian = ps.integer_image
     per_line = []
     entries: dict[tuple[int, int], Scalar] = {}
     row = 0
-    for line in lines:
+    for li, line in enumerate(lines):
         if len(line.points) < r:
             raise ValueError("all lines must be r-rich")
+        if first_off_line(ps, li, line) is not None:
+            raise ValueError("points are not collinear")
+        if len(set(line.points)) < len(line.points):
+            raise ValueError("repeated point in a collinear tuple")
         ordered = line_order(ps, line)
         blocks = tuple(tuple_cover(ordered, r))
         per_line.append(blocks)
+        piv = line.pivot * (2 if gaussian else 1)
         for block in blocks:
-            alpha = dependency_coeffs([ps.points[i] for i in block], deg)
+            ts = [pts[i][piv : piv + 2] for i in block] if gaussian else [pts[i][piv] for i in block]
+            alpha = dependency_row(ts, gaussian)
             cols = zip(*(image[0][i] for i in block))
             if not annihilates(cols, integer_vector(alpha, gaussian)[0], gaussian):
                 raise ArithmeticError("A * M != 0: dependency rows are inconsistent")
@@ -299,8 +352,6 @@ def random_design_matrix(
             while val == 0:
                 val = rng.randint(-5, 5)
             if gaussian:
-                from .scalars import GaussianRational
-
                 entries[(i, j)] = GaussianRational(
                     Fraction(val), Fraction(rng.randint(-3, 3))
                 )

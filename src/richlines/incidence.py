@@ -239,25 +239,36 @@ def line_image(line: Line, scales, gaussian: bool = False):
     return D, w[: len(scales)], w[len(scales) :]
 
 
+def first_off_line(ps: PointSet, li: int, line: Line):
+    """The first index of the canonical line li's incidence list whose point
+    is not on the line, or None, by exact tests on the integer image
+    y = s * p: by `line_image`, p is on the line iff s_piv D y = s_piv B +
+    y_piv U (Gaussian products over Q(i)).  An index that names no point of
+    V raises ValueError."""
+    pts, scales, gaussian = ps.integer_image
+    D, B, U = line_image(line, scales, gaussian)
+    k = line.pivot * (2 if gaussian else 1)
+    lhs, B = scales[k] * D, [scales[k] * b for b in B]
+    iU = [x for u, v in zip(U[::2], U[1::2]) for x in (-v, u)] if gaussian else U
+    for pi in line.points:
+        if pi < 0 or pi >= len(pts):
+            raise ValueError(f"line {li} references invalid point index {pi}")
+        y = pts[pi]
+        yr, yi = y[k], y[k + 1] if gaussian else 0  # y_piv U = yr U + yi (i U)
+        if not all(lhs * c == b + yr * u + yi * v for c, b, u, v in zip(y, B, U, iU)):
+            return pi
+    return None
+
+
 def incidences(ps: PointSet, lines: list[Line]) -> IncidenceGraph:
     """Incidence graph of V against a line family, with exact membership
-    checks on the integer image y = s * p: by `line_image`, p is on the line
-    iff s_piv D y = s_piv B + y_piv U (Gaussian products over Q(i))."""
-    pts, scales, gaussian = ps.integer_image
+    checks on the integer image (`first_off_line`)."""
     edges = []
     for li, line in enumerate(lines):
-        D, B, U = line_image(line, scales, gaussian)
-        k = line.pivot * (2 if gaussian else 1)
-        lhs, B = scales[k] * D, [scales[k] * b for b in B]
-        iU = [x for u, v in zip(U[::2], U[1::2]) for x in (-v, u)] if gaussian else U
-        for pi in line.points:
-            if pi < 0 or pi >= len(ps):
-                raise ValueError(f"line {li} references invalid point index {pi}")
-            y = pts[pi]
-            yr, yi = y[k], y[k + 1] if gaussian else 0  # y_piv U = yr U + yi (i U)
-            if not all(lhs * c == b + yr * u + yi * v for c, b, u, v in zip(y, B, U, iU)):
-                raise ValueError(f"point {pi} is not on line {li}")
-            edges.append((pi, li))
+        off = first_off_line(ps, li, line)
+        if off is not None:
+            raise ValueError(f"point {off} is not on line {li}")
+        edges += ((pi, li) for pi in line.points)
     return IncidenceGraph(
         tuple(range(len(ps))), tuple(range(len(lines))), tuple(edges)
     )

@@ -43,7 +43,10 @@ def size_cap() -> int:
 def check_cap(n: int, what: str = "points") -> None:
     cap = size_cap()
     if n > cap:
-        raise SizeCapError(f"configuration of {n} {what} exceeds cap {cap}")
+        # Python prints an int of at most 4300 digits; a larger count is
+        # reported by the cap alone.
+        count = n if n.bit_length() <= 14000 else f"more than {cap}"
+        raise SizeCapError(f"configuration of {count} {what} exceeds cap {cap}")
 
 
 def check_power_cap(h: int, e: int, dim: int, copies: int = 1) -> None:

@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from richlines import designs
@@ -10,6 +11,7 @@ from richlines.designs import (
     DesignMatrix,
     assemble_design,
     dependency_coeffs,
+    dependency_row,
     line_order,
     measure_design_params,
     random_design_matrix,
@@ -17,10 +19,11 @@ from richlines.designs import (
     tuple_cover,
     verify_design,
 )
+from richlines.geometry import canonical_line
 from richlines.incidence import rich_lines
-from richlines.linalg import right_nullspace
+from richlines.linalg import bareiss_rank, right_nullspace
 from richlines.pointsets import grid, pointset_from
-from richlines.scalars import GaussianRational, format_scalar
+from richlines.scalars import GaussianRational, format_scalar, scalar_key
 from richlines.veronese import integer_veronese, monomial_count, veronese_matrix
 
 F = Fraction
@@ -172,6 +175,60 @@ def test_dependency_rows_match_veronese_left_kernel(pts):
     assert [format_scalar(a) for a in alpha] == [format_scalar(a) for a in ref]
 
 
+# builds, unlike st.fractions, makes no new strategy per draw
+quick_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+quick_gaussians = st.builds(GaussianRational, quick_fractions, quick_fractions)
+imaginary_scalars = quick_fractions.map(lambda x: GaussianRational(0, x))
+
+
+@st.composite
+def mapped_collinear_tuples(draw):
+    """Collinear r-tuples over Q or Q(i) in d = 1..4, r = 2..6, under a random
+    invertible affine map, in the drawn parameter order or sorted by it.  Over
+    Q(i) the parameters, or the direction's first nonzero entry, may be
+    purely imaginary."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(2, 6))
+    gaussian = draw(st.booleans())
+    scalars = quick_gaussians if gaussian else quick_fractions
+    if gaussian and draw(st.booleans()):
+        ts = draw(st.lists(imaginary_scalars, min_size=r, max_size=r, unique=True))
+    else:
+        ts = draw(st.lists(scalars, min_size=r, max_size=r, unique=True))
+    base, direction, shift = (draw(st.lists(scalars, min_size=d, max_size=d)) for _ in range(3))
+    assume(any(direction))
+    if gaussian and draw(st.booleans()):
+        k = next(k for k, c in enumerate(direction) if c != 0)
+        direction[k] = GaussianRational(0, direction[k].re or 1)
+    flat = draw(st.lists(scalars, min_size=d * d, max_size=d * d))
+    B = [flat[k : k + d] for k in range(0, d * d, d)]
+    assume(bareiss_rank(B) == d)
+    pts = []
+    for t in ts:
+        p = [b + t * u for b, u in zip(base, direction)]
+        pts.append(tuple(sum((a * x for a, x in zip(row, p)), c) for row, c in zip(B, shift)))
+    pts = list(pointset_from(pts, "Qi" if gaussian else "Q").points)
+    if draw(st.booleans()):
+        piv = canonical_line(pts[0], pts[1]).pivot
+        pts.sort(key=lambda p: scalar_key(p[piv]))
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(mapped_collinear_tuples())
+def test_dependency_row_matches_the_vandermonde_kernel(pts):
+    # The closed form on the integer image's pivot coordinates, as
+    # assemble_design computes it, against the Vandermonde elimination:
+    # equal values and equal scalar types entry by entry.
+    ps = pointset_from(pts)
+    image, _, gaussian = ps.integer_image
+    k = canonical_line(pts[0], pts[1]).pivot * (2 if gaussian else 1)
+    row = dependency_row([y[k : k + 2] if gaussian else y[k] for y in image], gaussian)
+    ref = dependency_coeffs(pts, len(pts) - 2)
+    assert row == ref
+    assert [type(a) for a in row] == [type(a) for a in ref]
+
+
 # -- assembly ----------------------------------------------------------------
 
 
@@ -221,11 +278,11 @@ def test_assemble_rejects_a_perturbed_dependency_row(monkeypatch, gaussian, whic
     # row must fail it over either field.
     ps = _gaussian_image(grid(2, 4)) if gaussian else grid(2, 4)
     lines = rich_lines(ps, 4)
-    real, calls = designs.dependency_coeffs, []
+    real, calls = designs.dependency_row, []
     bump = GaussianRational(0, 1) if gaussian else F(1, 7)
 
-    def perturbed(points, deg):
-        alpha = real(points, deg)
+    def perturbed(ts, gaussian):
+        alpha = real(ts, gaussian)
         calls.append(alpha)
         if len(calls) - 1 == which:
             alpha = alpha[:2] + (alpha[2] + bump,) + alpha[3:]
@@ -233,10 +290,32 @@ def test_assemble_rejects_a_perturbed_dependency_row(monkeypatch, gaussian, whic
 
     A, _ = assemble_design(ps, lines, 4)
     assert A.product_with(veronese_matrix(ps, 2)).is_zero()
-    monkeypatch.setattr(designs, "dependency_coeffs", perturbed)
+    monkeypatch.setattr(designs, "dependency_row", perturbed)
     with pytest.raises(ArithmeticError, match=r"A \* M != 0"):
         assemble_design(ps, lines, 4)
     assert len(calls) == which + 1
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ((0, 1, 2, 5), "points are not collinear"),  # (2, 2) is off the line x = 1
+        ((0, 1, 2, 2), "repeated point in a collinear tuple"),
+        ((0, 1, 2, -13), "line 0 references invalid point index -13"),
+        ((0, 1, 2, 16), "line 0 references invalid point index 16"),
+    ],
+)
+def test_assemble_rejects_a_bad_incidence_list(gaussian, points, message):
+    # Each line's incidence list is checked once: indices in range, distinct,
+    # and naming points on the line.  A negative index once gave A an entry
+    # at column -13, which the support counts read as column 3.
+    ps = _gaussian_image(grid(2, 4)) if gaussian else grid(2, 4)
+    lines = rich_lines(ps, 4)
+    assert lines[0].points == (0, 1, 2, 3)
+    bad = [replace(lines[0], points=points)] + lines[1:]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assemble_design(ps, bad, 4)
 
 
 def test_line_order_sorts_by_parameter():

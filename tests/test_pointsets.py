@@ -4,6 +4,7 @@ import pytest
 
 from richlines.incidence import rich_lines
 from richlines.pointsets import (
+    DEFAULT_SIZE_CAP,
     PointSet,
     SizeCapError,
     cartesian_power,
@@ -199,6 +200,18 @@ def test_size_cap_checks_the_base_before_the_power(monkeypatch):
         grid(2, 10**5000)
     with pytest.raises(SizeCapError, match="more than 100 points"):
         pasted_grids(3, 2, 2, 10**5000)
+
+
+def test_size_cap_does_not_print_a_huge_count(monkeypatch):
+    monkeypatch.delenv("RICHLINES_SIZE_CAP", raising=False)
+    # 10**5000 and 4 * 10**5000 points, counts with too many digits to print
+    huge = f"^configuration of more than {DEFAULT_SIZE_CAP} points exceeds cap {DEFAULT_SIZE_CAP}$"
+    with pytest.raises(SizeCapError, match=huge):
+        grid(1, 10**5000)
+    with pytest.raises(SizeCapError, match=huge):
+        pasted_grids(3, 2, 10**5000, 2)
+    with pytest.raises(SizeCapError, match=f"^configuration of {10**40} points exceeds"):
+        grid(1, 10**40)
 
 
 def test_integer_image_is_kept_outside_the_fields():

@@ -27,7 +27,7 @@ from .geometry import Line, canonical_line
 from .incidence import first_off_line
 from .linalg import Matrix, annihilates, gaussian_mul, integer_vector, right_nullspace
 from .pointsets import PointSet
-from .scalars import GaussianRational, Scalar, scalar_key
+from .scalars import GaussianRational, Scalar
 from .veronese import integer_veronese
 
 
@@ -203,9 +203,12 @@ def verify_design(A: DesignMatrix) -> tuple[int, int, int]:
 
 def line_order(ps: PointSet, line: Line) -> list[int]:
     """Incident indices sorted by exact line parameter (real part, then
-    imaginary part)."""
-    piv = line.pivot  # the parameter of a point is its pivot coordinate
-    return sorted(line.points, key=lambda i: scalar_key(ps.points[i][piv]))
+    imaginary part): the pivot coordinate on the integer image, whose
+    positive axis scale keeps the order."""
+    pts, _, gaussian = ps.integer_image
+    k = 2 if gaussian else 1
+    piv = line.pivot * k
+    return sorted(line.points, key=lambda i: pts[i][piv : piv + k])
 
 
 def assemble_design(

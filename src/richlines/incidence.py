@@ -384,5 +384,5 @@ def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
     diffs = [vsub(p, ints[0]) for p in ints[1:]]
     if gaussian:
         diffs, scales = [list(zip(p[::2], p[1::2])) for p in diffs], scales[::2]
-    normal = first_kernel_vector(diffs, scales, gaussian)
+    normal = first_kernel_vector(diffs, scales, gaussian)[1]
     return len(pts), make_hyperplane(normal, dot(pts[0], normal))

@@ -1,12 +1,13 @@
 """Exact linear algebra over Q and Q(i): rank, RREF, nullspaces.
 
-Rank has one core, `integer_rank`: fraction-free (Bareiss) elimination in
+Rank has one core, `_bareiss_core`: fraction-free (Bareiss) elimination in
 integers with a deterministic pivot rule (leftmost column, first row with a
-nonzero entry); a Q(i) matrix A + iB is realified to [[A, -B], [B, A]],
-whose rank over Q is twice its rank over Q(i).  A separate
-reduced-row-echelon routine, ordinary Gauss-Jordan over the field, provides
-nullspaces and doubles as an independent rank oracle for cross checks.  `first_kernel_vector` finds the first nullspace vector
-of an integer image by a pivot profile mod p and an exact integer solve.
+nonzero entry).  A Q(i) matrix is realified per entry, x + iy to the block
+[[x, -y], [y, x]], so its rank over Q is twice its rank over Q(i).  The same
+elimination gives `integer_rank` and, by back-substitution in its echelon
+form, `first_kernel_vector`.  A separate reduced-row-echelon routine,
+ordinary Gauss-Jordan over the field, provides nullspaces and doubles as an
+independent oracle for cross checks.
 """
 
 from __future__ import annotations
@@ -71,26 +72,28 @@ def bareiss_rank(rows) -> int:
 
 def integer_rank(rows, gaussian: bool = False) -> int:
     """Rank of an integer matrix, which is left as it is, by fraction-free
-    (Bareiss) elimination.  Over Q(i) the entries of A + iB are (re, im)
-    pairs: the real matrix [[A, -B], [B, A]] represents it as a Q-linear map
-    of twice the dimensions, so its rank is twice the rank over Q(i)."""
-    if gaussian:
-        return _bareiss_core(_realified(rows)) // 2
-    return _bareiss_core([list(r) for r in rows])
+    (Bareiss) elimination.  Over Q(i) the entries are (re, im) pairs and the
+    matrix is realified (`_realified`)."""
+    a = _realified(rows) if gaussian else [list(r) for r in rows]
+    return _bareiss_core(a)[0] // (2 if gaussian else 1)
 
 
 def _realified(rows) -> list:
-    """The rows of [[A, -B], [B, A]] for rows of A + iB given as (re, im) pairs."""
-    return [h for r in rows for h in ([x for x, _ in r] + [-y for _, y in r],
-                                      [y for _, y in r] + [x for x, _ in r])]
+    """Each row of (re, im) pairs x + iy as two real rows, the entry becoming
+    the block [[x, -y], [y, x]]: columns 2j and 2j + 1 carry the real and
+    imaginary parts of unknown j, and the rank over Q doubles."""
+    return [h for r in rows for h in ([z for x, y in r for z in (x, -y)],
+                                      [z for x, y in r for z in (y, x)])]
 
 
-def _bareiss_core(a) -> int:
-    """Rank of an integer matrix, which is left in fraction-free row echelon
-    form; every division in the recurrence is exact."""
+def _bareiss_core(a) -> tuple[int, int]:
+    """(rank, first column without a pivot) of an integer matrix, which is
+    left in fraction-free row echelon form; every division in the recurrence
+    is exact.  The first free column is the column count when there is none."""
     m, n = len(a), len(a[0]) if a else 0
     prev = 1
     rank = 0
+    free = None
     for col in range(n):
         if rank == m:
             break
@@ -100,6 +103,8 @@ def _bareiss_core(a) -> int:
                 piv = i
                 break
         if piv is None:
+            if free is None:
+                free = col
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
@@ -112,7 +117,7 @@ def _bareiss_core(a) -> int:
                 ai[j] = (p * ai[j] - f * ar[j]) // prev
         prev = p
         rank += 1
-    return rank
+    return rank, rank if free is None else free
 
 
 def rref(rows):
@@ -184,10 +189,6 @@ def right_nullspace(rows, cols: int) -> list[tuple[Scalar, ...]]:
     return basis
 
 
-# p = 1 (mod 4) < 2^61 and iota^2 = -1 (mod p), so a + bi -> a + b*iota maps Z[i] onto F_p
-_PRIMES = ((2305843009213693921, 583529827753931384), (2305843009213693693, 966685122347009555))
-
-
 def integer_vector(vec, gaussian: bool = False):
     """(m * vec, m) for m the lcm of the denominators of vec: ints, or (re, im)
     pairs over Q(i)."""
@@ -214,60 +215,34 @@ def annihilates(rows, w, gaussian: bool = False) -> bool:
     return not any(any(int_dot(row, w, gaussian)) for row in rows)
 
 
-def _pivot_rows(a, cols: int, p: int):
-    """Rows of a (entries mod p; eliminated in place) holding the leftmost
-    pivots before the first free column; None when no column is free."""
-    live, pivots = list(range(len(a))), []
-    for col in range(cols):
-        piv = next((i for i in live if a[i][col]), None)
-        if piv is None:
-            return pivots
-        live.remove(piv)
-        pivots.append(piv)
-        inv = pow(a[piv][col], -1, p)
-        for i in live:
-            f = a[i][col] * inv % p
-            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[piv])]
-    return None
-
-
 def first_kernel_vector(rows, scales, gaussian: bool = False):
-    """right_nullspace(M)[0], or None, for M = rows * diag(scales)^-1 with
-    integer rows ((re, im) pairs over Q(i)), without field elimination.
+    """(rank M, right_nullspace(M)[0] or None) for M = rows * diag(scales)^-1
+    with integer rows ((re, im) pairs over Q(i)), from one Bareiss
+    elimination of the rows (realified over Q(i)) and no field arithmetic.
 
-    Pivots mod p stop at the first free column c, or prove full column rank.
-    Their c x c minor is nonzero mod p, so over the field: Bareiss on
-    [minor | -column c] (realified over Q(i)) solves for w with w_c = +-det.
-    rows * w = 0, checked in integers, then makes c the first free column and
-    diag(scales) * w the first RREF vector up to scale.  On failure (an
-    unlucky prime) the next prime is tried, then RREF over the field.
+    Bareiss never changes a row after it has taken its pivot, so with c the
+    first free column the top c rows of the echelon form hold the triangular
+    system of columns 0..c, whose leading minor is det = a[c-1][c-1].  By
+    Cramer's rule back-substitution for w with w_c = det divides exactly, and
+    w is supported on the pivots before c and on c: diag(scales) * w is the
+    first RREF vector up to scale.  Over Q(i) the first free realified column
+    is even, 2c, and w_c = (det, 0).  rows * w = 0 is checked in integers.
     """
     cols = len(scales)
-    for p, iota in _PRIMES:
-        mod = [[(x[0] + iota * x[1]) % p if gaussian else x % p for x in row] for row in rows]
-        piv_rows = _pivot_rows(mod, cols, p)
-        if piv_rows is None:
-            return None
-        c = len(piv_rows)
-        top = [list(rows[i][: c + 1]) for i in piv_rows]
-        aug = [r[:c] + r[c + 1 : 2 * c + 1] + [-r[c]] for r in (_realified(top) if gaussian else top)]
-        m = _bareiss_core(aug)
-        det = aug[m - 1][m - 1] if m else 1
-        z = [0] * m
-        for k in reversed(range(m)):
-            z[k] = (det * aug[k][m] - sum(aug[k][j] * z[j] for j in range(k + 1, m))) // aug[k][k]
-        w = list(zip(z[:c], z[c:])) + [(det, 0)] if gaussian else z + [det]
-        if annihilates(rows, w, gaussian):
-            break
-    else:
-        field = [[GaussianRational(Fraction(x[0], s), Fraction(x[1], s)) if gaussian
-                  else Fraction(x, s) for x, s in zip(row, scales)] for row in rows]
-        kernel = right_nullspace(field, cols)
-        if kernel and not annihilates(field, kernel[0]):
-            raise ArithmeticError("RREF kernel vector fails M v = 0")
-        return kernel[0] if kernel else None
-    if gaussian and not any(a or b for a, b in w[:c]):
+    a, k = (_realified(rows), 2) if gaussian else ([list(r) for r in rows], 1)
+    rank, m = _bareiss_core(a)
+    rank, c = rank // k, m // k
+    if c == cols:
+        return rank, None
+    det = a[m - 1][m - 1] if m else 1
+    z = [0] * m + [det]
+    for j in reversed(range(m)):
+        z[j] = -sum(map(operator.mul, a[j][j + 1 : m + 1], z[j + 1 :])) // a[j][j]
+    w = list(zip(z[::2], z[1::2])) + [(det, 0)] if gaussian else z
+    if not annihilates(rows, w, gaussian):
+        raise ArithmeticError("Bareiss kernel vector fails M_int w = 0")
+    if gaussian and not any(x or y for x, y in w[:c]):
         w, gaussian = [0] * c + [1], False  # RREF gives a unit vector in Fractions
     v = [GaussianRational(x[0] * s, x[1] * s) if gaussian else Fraction(x * s)
          for x, s in zip(w, scales)]
-    return _normalize_first_nonzero(v + [v[0] * 0] * (cols - c - 1))
+    return rank, _normalize_first_nonzero(v + [v[0] * 0] * (cols - c - 1))

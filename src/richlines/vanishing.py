@@ -19,7 +19,7 @@ from fractions import Fraction
 from .designs import RankBoundReport, assemble_design, rank_bound_report
 from .geometry import Hyperplane, Line, dot, make_hyperplane
 from .incidence import IncidenceGraph, incidences, lift_progressions, line_image, rich_lines
-from .linalg import annihilates, first_kernel_vector, int_dot, integer_rank, right_nullspace
+from .linalg import annihilates, first_kernel_vector, int_dot, right_nullspace
 from .pointsets import PointSet, cartesian_power, check_power_cap
 from .refinement import dyadic_partition, refine
 from .scalars import GaussianRational, Scalar
@@ -47,14 +47,14 @@ class PipelineConstants:
         return cls(c, c / 2**11)
 
 
-def _kernel_poly(ps: PointSet, image, deg: int) -> Polynomial | None:
-    """The first kernel vector of M, the degree <= deg evaluation matrix of V,
-    as a polynomial, or None, from M's `integer_veronese` image; f(p_j) =
-    (M_int w)_j is checked to be 0."""
+def _kernel_poly(ps: PointSet, image, deg: int) -> tuple[int, Polynomial | None]:
+    """(rank M, its first kernel vector as a polynomial or None) for M, the
+    degree <= deg evaluation matrix of V, from one elimination of its
+    `integer_veronese` image; f(p_j) = (M_int w)_j is checked to be 0."""
     if not ps.points:
-        return None  # M is then an empty Matrix, with no columns
-    vec = first_kernel_vector(*image, ps.integer_image[2])
-    return None if vec is None else poly_from_coeff_vector(monomial_basis(ps.dim, deg), vec)
+        return 0, None  # M is then an empty Matrix, with no columns
+    rank, vec = first_kernel_vector(*image, ps.integer_image[2])
+    return rank, None if vec is None else poly_from_coeff_vector(monomial_basis(ps.dim, deg), vec)
 
 
 def find_vanishing_poly(ps: PointSet, max_deg: int) -> Polynomial | None:
@@ -70,7 +70,7 @@ def find_vanishing_poly(ps: PointSet, max_deg: int) -> Polynomial | None:
     # rank M <= n, so the first free column lies in the least degree D with
     # C(d + D, d) > n columns; a larger max_deg only builds wider matrices
     cap = next((D for D in range(max_deg) if monomial_count(ps.dim, D) > len(ps)), max_deg)
-    return _kernel_poly(ps, integer_veronese(ps, cap), cap)
+    return _kernel_poly(ps, integer_veronese(ps, cap), cap)[1]
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,7 @@ def certified_vanishing_poly(
     if not lines:
         raise ValueError("no r-rich lines: nothing to assemble")
     n, d = len(ps), ps.dim
+    A, image = assemble_design(ps, lines, r)  # validates every line's indices
     counts = [0] * n
     for line in lines:
         for i in line.points:
@@ -131,12 +132,10 @@ def certified_vanishing_poly(
         threshold = Fraction(kd * n, r ** (d - 1))
         hyp_ok = r >= 4 and k_min >= threshold and k_max <= 8 * k_min
 
-    A, image = assemble_design(ps, lines, r)
-    bounds = rank_bound_report(A, integer_rank(image[0], ps.integer_image[2]))
+    rank_m, f = _kernel_poly(ps, image, r - 2)
+    bounds = rank_bound_report(A, rank_m)
     basis_size = monomial_count(d, r - 2)
-    rank_m = bounds.rank_m
     deficient = rank_m < basis_size
-    f = _kernel_poly(ps, image, r - 2)
     if (f is not None) != deficient:
         raise ArithmeticError(f"Bareiss rank {rank_m} of M and its first kernel vector disagree")
     cert = DesignCertificate(

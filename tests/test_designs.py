@@ -322,6 +322,13 @@ def test_line_order_sorts_by_parameter():
     ps = pointset_from([(F(3), F(3)), (F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
     lines = rich_lines(ps, 4)
     assert line_order(ps, lines[0]) == [1, 2, 3, 0]
+    # over Q(i): real part first, then imaginary part, on a scaled image
+    G = GaussianRational
+    ts = [G(F(1, 2), 1), G(0, F(2, 3)), G(F(1, 2), 0), G(0, -1)]
+    ps = pointset_from([(t, 2 * t + G(0, 1)) for t in ts], "Qi")
+    lines = rich_lines(ps, 4)
+    assert ps.integer_image[1][0] == 6
+    assert line_order(ps, lines[0]) == [3, 1, 2, 0]
 
 
 def test_assembly_rows_per_line_with_overlap():

@@ -1,15 +1,15 @@
 """Differential tests of `linalg.first_kernel_vector` and `linalg.integer_rank`
 on integer images.
 
-The routine finds the first RREF kernel vector of M = M_int * diag(s)^-1
-from a pivot profile modulo a prime and an exact integer solve.  It is
-checked here, by `format_scalar` bytes (so the scalar types too), against
-`right_nullspace` of the field matrix: on Veronese matrices of Q and Q(i)
-point sets, with the production primes and with small primes that force the
-second-prime and the RREF fallbacks.
+The routine finds rank(M) and the first RREF kernel vector of
+M = M_int * diag(s)^-1 from one Bareiss elimination of M_int and a
+back-substitution in its echelon form.  It is checked here, by
+`format_scalar` bytes (so the scalar types too), against `right_nullspace`
+of the field matrix, and its rank against `rref_rank`: on Veronese matrices
+of Q and Q(i) point sets, and on matrices whose columns are dependent modulo
+small primes.
 """
 
-import contextlib
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -19,14 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richlines import linalg
+from richlines.incidence import max_hyperplane_subset
 from richlines.linalg import first_kernel_vector, integer_rank, right_nullspace, rref_rank
 from richlines.pointsets import pointset_from
 from richlines.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, format_scalar
+from richlines.vanishing import certified_vanishing_poly, find_vanishing_poly
 from richlines.veronese import integer_veronese, monomial_count, veronese_matrix
 
 F = Fraction
 G = GaussianRational
-SMALL_PRIMES = [((5, 2), (13, 5)), ((13, 5), (17, 4)), ((17, 4), (5, 2))]
 
 
 def _bytes(vec):
@@ -39,7 +40,7 @@ def _reference(ps, deg):
 
 
 def _fast(ps, deg):
-    return first_kernel_vector(*integer_veronese(ps, deg), ps.field == FIELD_GAUSSIAN)
+    return first_kernel_vector(*integer_veronese(ps, deg), ps.field == FIELD_GAUSSIAN)[1]
 
 
 @st.composite
@@ -75,31 +76,21 @@ def veronese_inputs(draw):
 @given(veronese_inputs())
 def test_first_kernel_vector_matches_rref_bytes(case):
     ps, deg = case
-    with _spied(linalg._PRIMES) as seen:
-        got = _fast(ps, deg)
-    assert _bytes(got) == _bytes(_reference(ps, deg))
-    # the first 61-bit prime is lucky on inputs this small: no fallback ran
-    assert seen == {"primes": [linalg._PRIMES[0][0]], "rref": 0}
-
-
-@settings(max_examples=100, deadline=None)
-@given(veronese_inputs(), st.sampled_from(SMALL_PRIMES))
-def test_first_kernel_vector_survives_unlucky_primes(case, primes):
-    ps, deg = case
-    with mock.patch.object(linalg, "_PRIMES", primes):
-        assert _bytes(_fast(ps, deg)) == _bytes(_reference(ps, deg))
+    assert _bytes(_fast(ps, deg)) == _bytes(_reference(ps, deg))
 
 
 @settings(max_examples=200, deadline=None)
 @given(veronese_inputs())
 def test_integer_rank_of_the_image_is_the_field_rank(case):
-    # scaling a column by s^e != 0 keeps the rank, so M_int has the rank of M
+    # scaling a column by s^e != 0 keeps the rank, so M_int has the rank of M;
+    # the elimination that finds the kernel vector gives the same rank
     ps, deg = case
-    rows, _ = integer_veronese(ps, deg)
+    rows, scales = integer_veronese(ps, deg)
     before = [list(r) for r in rows]
-    assert integer_rank(rows, ps.field == FIELD_GAUSSIAN) == rref_rank(
-        veronese_matrix(ps, deg).row_list()
-    )
+    gaussian = ps.field == FIELD_GAUSSIAN
+    rank = rref_rank(veronese_matrix(ps, deg).row_list())
+    assert integer_rank(rows, gaussian) == rank
+    assert first_kernel_vector(rows, scales, gaussian)[0] == rank
     assert rows == before
 
 
@@ -118,57 +109,6 @@ def test_integer_veronese_is_a_column_scaling():
                 assert x == M.row(j)[k] * s
 
 
-def _is_prime(n):
-    """Miller-Rabin with the first 12 prime bases: exact for n < 3.3 * 10^24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_primes_and_square_roots_of_minus_one():
-    assert len(linalg._PRIMES) == 2
-    for p, iota in linalg._PRIMES + tuple(q for pair in SMALL_PRIMES for q in pair):
-        assert _is_prime(p) and p % 4 == 1
-        assert iota * iota % p == p - 1
-    assert all(p.bit_length() == 61 for p, _ in linalg._PRIMES)
-    assert not _is_prime(2305843009213693921 * 5) and _is_prime(2**61 - 1)
-
-
-@contextlib.contextmanager
-def _spied(primes):
-    """Patch the primes; record the prime of every pivot profile and every
-    call of the RREF fallback."""
-    seen = {"primes": [], "rref": 0}
-    real_profile, real_rref = linalg._pivot_rows, linalg.right_nullspace
-
-    def profile(a, cols, p):
-        seen["primes"].append(p)
-        return real_profile(a, cols, p)
-
-    def rref_kernel(rows, cols):
-        seen["rref"] += 1
-        return real_rref(rows, cols)
-
-    with mock.patch.object(linalg, "_PRIMES", primes), \
-            mock.patch.object(linalg, "_pivot_rows", profile), \
-            mock.patch.object(linalg, "right_nullspace", rref_kernel):
-        yield seen
-
-
 def _field(rows, scales, gaussian):
     if gaussian:
         return [[G(F(a, s), F(b, s)) for (a, b), s in zip(row, scales)] for row in rows]
@@ -184,33 +124,52 @@ _UNLUCKY = [
     ([[(1, 0), (0, 0), (1, 0)], [(0, 0), (0, 65), (0, 65)]], [1, 2, 1], True),
     ([[(1, 1), (0, 0)], [(0, 0), (65, 0)]], [2, 1], True),
 ]
-_BIG = linalg._PRIMES[0]
 
 
 @pytest.mark.parametrize("rows, scales, gaussian", _UNLUCKY)
-def test_second_prime_fallback_runs_and_agrees(rows, scales, gaussian):
-    with _spied(((5, 2), _BIG)) as seen:
-        got = first_kernel_vector(rows, scales, gaussian)
-    assert seen == {"primes": [5, _BIG[0]], "rref": 0}
-    kernel = right_nullspace(_field(rows, scales, gaussian), len(scales))
+def test_unlucky_matrices_match_rref_bytes(rows, scales, gaussian):
+    field = _field(rows, scales, gaussian)
+    rank, got = first_kernel_vector(rows, scales, gaussian)
+    kernel = right_nullspace(field, len(scales))
     assert _bytes(got) == _bytes(kernel[0] if kernel else None)
+    assert rank == rref_rank(field)
 
 
-@pytest.mark.parametrize("rows, scales, gaussian", _UNLUCKY[2:])
-def test_rref_fallback_runs_and_agrees(rows, scales, gaussian):
-    with _spied(((5, 2), (13, 5))) as seen:
-        got = first_kernel_vector(rows, scales, gaussian)
-    assert seen == {"primes": [5, 13], "rref": 1}
-    kernel = right_nullspace(_field(rows, scales, gaussian), len(scales))
-    assert _bytes(got) == _bytes(kernel[0] if kernel else None)
+_TWO_LINES = [
+    (FIELD_RATIONAL, [(F(x), F(y)) for y in range(2) for x in range(4)]),
+    (FIELD_GAUSSIAN, [(G(x, 0), G(0, y)) for y in range(2) for x in range(4)]),
+]
+
+
+@pytest.mark.parametrize("field, pts", _TWO_LINES)
+def test_one_certificate_eliminates_m_once(field, pts):
+    # two 4-rich lines: y(y - 1) spans the kernel of the degree-2 M.  One
+    # Bareiss elimination gives rank(M) and that kernel vector; the other
+    # elimination is rank(A).
+    with mock.patch.object(linalg, "_bareiss_core", wraps=linalg._bareiss_core) as core:
+        f, cert = certified_vanishing_poly(pointset_from(pts, field), 4)
+    assert f is not None and cert.rank_m == 5
+    assert core.call_count == 2
 
 
 def test_unit_kernel_vector_keeps_rational_entries_over_gaussian():
     rows = [[(1, 2), (0, 0), (3, 0)], [(0, 1), (0, 0), (1, 1)]]
-    got = first_kernel_vector(rows, [1, 1, 1], True)
+    got = first_kernel_vector(rows, [1, 1, 1], True)[1]
     assert got == (0, 1, 0) and all(type(x) is Fraction for x in got)
 
 
 def test_empty_and_columnless_inputs():
-    assert _bytes(first_kernel_vector([], [1, 1, 1])) == ["1/1", "0/1", "0/1"]
-    assert first_kernel_vector([[]], []) is None
+    assert first_kernel_vector([], [1, 1, 1])[0] == 0
+    assert _bytes(first_kernel_vector([], [1, 1, 1])[1]) == ["1/1", "0/1", "0/1"]
+    assert first_kernel_vector([[]], []) == (0, None)
+
+
+@pytest.mark.parametrize("field, pts", _TWO_LINES)
+def test_no_field_gauss_jordan_from_lines_to_certificate(field, pts):
+    ps = pointset_from(pts, field)
+    line = pointset_from([tuple(p + (p[0] * 0,)) for p in pts[:4]], field)
+    with mock.patch.object(linalg, "rref", side_effect=AssertionError("field RREF ran")):
+        f, _ = certified_vanishing_poly(ps, 4)
+        assert f is not None and find_vanishing_poly(ps, 3) is not None
+        # collinear in 3 dimensions: no 3-subset spans a plane
+        assert max_hyperplane_subset(line)[0] == 4

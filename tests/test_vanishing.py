@@ -152,12 +152,12 @@ def test_certified_points_on_one_line():
     ],
 )
 def test_certified_rank_and_kernel_must_agree(monkeypatch, ps, r, rank_m):
-    real = vanishing.rank_bound_report
+    real = vanishing._kernel_poly
 
-    def skewed(A, M):
-        return dataclasses.replace(real(A, M), rank_m=rank_m)
+    def skewed(ps, image, deg):
+        return rank_m, real(ps, image, deg)[1]
 
-    monkeypatch.setattr(vanishing, "rank_bound_report", skewed)
+    monkeypatch.setattr(vanishing, "_kernel_poly", skewed)
     with pytest.raises(ArithmeticError, match="disagree"):
         certified_vanishing_poly(ps, r)
 
@@ -192,6 +192,17 @@ def test_pipelines_build_each_integer_image_once(monkeypatch):
     ps = pasted_grids(3, 2, 2, 4)
     out = extract_hyperplane(ps, 4)
     assert out.found and built == [len(ps), out.trace.second_points] and built[1] < len(ps)
+
+
+@pytest.mark.parametrize("index", [16, -13])
+def test_certified_rejects_an_invalid_index_before_counting(index):
+    # the indices are checked before anything reads them: 16 once raised a
+    # bare IndexError, and -13 was counted at point 3 first
+    ps = grid(2, 4)
+    lines = rich_lines(ps, 4)
+    bad = [dataclasses.replace(lines[0], points=(0, 1, 2, index))] + lines[1:]
+    with pytest.raises(ValueError, match=f"^line 0 references invalid point index {index}$"):
+        certified_vanishing_poly(ps, 4, lines=bad)
 
 
 def test_certified_requires_lines():

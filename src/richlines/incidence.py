@@ -2,7 +2,7 @@
 
 Line enumeration groups all point pairs by an exact line key, computed on
 the integer image of V (`PointSet.integer_image`), from which each rich
-line is decoded directly; progressions are stepped on that image too.
+line is decoded directly; progressions are read off the rich lines.
 Over Q the key of a pair (p, q) is the sign-canonical primitive direction
 together with the translation invariant p_i * d_piv - p_piv * d_i, which is
 constant along the line.  Over Q(i) the image holds Gaussian integers as
@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .linalg import first_kernel_vector, integer_vector
 from .pointsets import PointSet
-from .scalars import GaussianRational, sign_positive
+from .scalars import GaussianRational
 
 
 def _primitive(vec):
@@ -262,12 +262,15 @@ def first_off_line(ps: PointSet, li: int, line: Line):
 
 def incidences(ps: PointSet, lines: list[Line]) -> IncidenceGraph:
     """Incidence graph of V against a line family, with exact membership
-    checks on the integer image (`first_off_line`)."""
+    checks on the integer image (`first_off_line`); a line that lists an
+    index twice raises ValueError."""
     edges = []
     for li, line in enumerate(lines):
         off = first_off_line(ps, li, line)
         if off is not None:
             raise ValueError(f"point {off} is not on line {li}")
+        if len(set(line.points)) < len(line.points):
+            raise ValueError("repeated point in a collinear tuple")
         edges += ((pi, li) for pi in line.points)
     return IncidenceGraph(
         tuple(range(len(ps))), tuple(range(len(lines))), tuple(edges)
@@ -289,42 +292,42 @@ class APRecord:
             cur = tuple(a + b for a, b in zip(cur, self.diff))
 
 
-def count_aps(ps: PointSet, r: int) -> tuple[int, list[APRecord]]:
-    """Count unordered r-term arithmetic progressions inside V.
-
-    Each progression {y, y+x, ..., y+(r-1)x} is counted once: the difference
-    is canonicalized so its first nonzero coordinate is positive (positive
-    real part, then positive imaginary part, in the Gaussian case).  Pairs
-    (y, y+x) are scanned as the first two terms and the remaining terms are
-    membership-tested.  The stepping and the membership tests run on the
-    integer image of V, whose first nonzero entry (a real part, or an
-    imaginary part after a zero real part) carries that sign; records carry
-    V's own coordinates.
+def _progressions(ps: PointSet, r: int) -> list[tuple[list[int], APRecord]]:
+    """The r-term progressions of V, read off `rich_lines(ps, r)`, as index
+    lists [y, y+x, ..., y+(r-1)x] with their records, in the (i, j) order
+    of their first two terms.  The image's pivot coordinate of a canonical
+    line (its (re, im) parts over Q(i), one positive scale) is an affine
+    parameter, and x is sign-canonical iff its step is positive in (re, im)
+    order, so each progression is found once, at its two smallest terms.
     """
     if r < 2:
         raise ValueError("progression length must be at least 2")
-    pts = ps.points
-    keys = ps.integer_image[0]
-    members = set(keys)
-    n = len(pts)
-    records = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = vsub(keys[j], keys[i])
-            first = next(c for c in diff if c != 0)
-            if sign_positive(first):
-                lo, hi, step = i, j, diff
-            else:
-                lo, hi, step = j, i, tuple(-c for c in diff)
-            ok = True
-            cur = tuple(a + 2 * s for a, s in zip(keys[lo], step))
-            for _ in range(r - 2):
-                if cur not in members:
-                    ok = False
+    keys, _, gaussian = ps.integer_image
+    k = 2 if gaussian else 1
+    found = []
+    for line in rich_lines(ps, r):
+        piv = line.pivot * k
+        at = {keys[i][piv : piv + k]: i for i in line.points}
+        params = sorted(at)
+        top = params[-1][0]
+        for ia, a in enumerate(params):
+            for b in params[ia + 1 :]:
+                # real steps only grow along b, so no later b reaches r terms
+                if a[0] + (r - 1) * (b[0] - a[0]) > top:
                     break
-                cur = tuple(a + s for a, s in zip(cur, step))
-            if ok:
-                records.append(APRecord(pts[lo], vsub(pts[hi], pts[lo]), r))
+                terms = [at.get(tuple(x + m * (y - x) for x, y in zip(a, b))) for m in range(r)]
+                if None not in terms:
+                    found.append(terms)
+    found.sort(key=lambda t: sorted(t[:2]))
+    pts = ps.points
+    return [(t, APRecord(pts[t[0]], vsub(pts[t[1]], pts[t[0]]), r)) for t in found]
+
+
+def count_aps(ps: PointSet, r: int) -> tuple[int, list[APRecord]]:
+    """Count unordered r-term arithmetic progressions {y, y+x, ...} inside V,
+    each once, with the first nonzero coordinate of x positive (real part,
+    then imaginary part); see `_progressions`."""
+    records = [rec for _, rec in _progressions(ps, r)]
     return len(records), records
 
 
@@ -333,24 +336,18 @@ def lift_progressions(ps: PointSet, r: int):
 
     The progression (y, x) becomes the line through (0, y) with direction
     (1, x); the mapping is injective and each image line is exactly r-rich
-    with respect to the lifted configuration.  Returns (lifted point set,
-    progression records, lines).
+    with respect to the lifted configuration, whose point (m, p_j) has index
+    m * n + j.  Returns (lifted point set, progression records, lines).
     """
     from .pointsets import index_prefix
     from .scalars import coerce
 
-    lifted = index_prefix(ps, r)
-    lookup = lifted.index()
-    _, records = count_aps(ps, r)
-    lines = []
-    for rec in records:
-        direction = (coerce(1, ps.field),) + rec.diff
-        base = (coerce(0, ps.field),) + rec.start
-        incident = []
-        for i, term in enumerate(rec.terms()):
-            incident.append(lookup[(coerce(i, ps.field),) + term])
-        lines.append(Line(direction, base, tuple(sorted(incident))))
-    return lifted, records, lines
+    lifted, n = index_prefix(ps, r), len(ps)
+    one, zero = coerce(1, ps.field), coerce(0, ps.field)
+    found = _progressions(ps, r)
+    lines = [Line((one,) + rec.diff, (zero,) + rec.start, tuple(m * n + j for m, j in enumerate(idx)))
+             for idx, rec in found]
+    return lifted, [rec for _, rec in found], lines
 
 
 def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:

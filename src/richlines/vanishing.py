@@ -200,20 +200,21 @@ def classify_flat_points(
     it is a joint, and the gradient of f is then forced to vanish there,
     which is also checked.  Both checks run in integers on the image
     y = s * p of `PointSet.integer_image` (`_line_test`, `cleared`); the gradient
-    holds the scalars `Polynomial.evaluate` gives, types included.
+    holds the scalars `Polynomial.evaluate` gives, types included.  The lines
+    are validated first, by `incidences`.
     """
     if f.is_zero():
         raise ValueError("need a nonzero polynomial")
+    graph = incidences(ps, lines)
     d = ps.dim
     ints, scales, gaussian = ps.integer_image
     vanishes_on = _line_test(f, scales, gaussian)
     for li, line in enumerate(lines):
         if not vanishes_on(line):
             raise ValueError(f"polynomial does not vanish on line {li}")
-    by_point: dict[int, list[Line]] = {i: [] for i in range(len(ps))}
-    for line in lines:
-        for i in line.points:
-            by_point[i].append(line)
+    by_point: list[list[Line]] = [[] for _ in range(len(ps))]
+    for i, li in graph.edges:
+        by_point[i].append(lines[li])
     # (w, L, whether evaluate gives a GaussianRational) of each partial
     grads = [(*cleared(g, scales, gaussian)[1:], gaussian and any(
         sum(e) or isinstance(c, GaussianRational) for e, c in g.terms.items()))

@@ -45,6 +45,15 @@ def random_half_integer_pointset(rng: Random, d: int, n: int, span: int) -> Poin
     return pointset_from(sorted(pts))
 
 
+def gaussian_image(ps: PointSet) -> PointSet:
+    """V under the invertible Q(i)-affine map (x, y) -> ((1+i)x + iy + 1/2 + i/3, 2iy + 1)
+    of the plane; point order is kept, so the image's indices are V's."""
+    from richlines.scalars import GaussianRational as G
+
+    a, b, c, e = G(1, 1), G(0, 1), G(Fraction(1, 2), Fraction(1, 3)), G(0, 2)
+    return pointset_from([(a * x + b * y + c, e * y + 1) for x, y in ps.points])
+
+
 def restrict_to_line(f, base, direction) -> list:
     """Coefficients of g(t) = f(base + t*direction), low degree first.
 

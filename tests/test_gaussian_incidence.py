@@ -1,10 +1,11 @@
 """Differential tests of the Q(i) incidence layer.
 
-`rich_lines` and `count_aps` key Q(i) point sets on their realified
-Gaussian-integer image.  Here they are checked against the cubic line
-oracle, the endpoint progression oracle and a field-arithmetic pair-key
-enumerator kept below as a reference, on Gaussian affine images of grids,
-pasted grids, sum-product sets and random sets in d = 1..4.
+`rich_lines` keys Q(i) point sets on their realified Gaussian-integer
+image, and `count_aps` reads progressions off its lines.  Here they are
+checked against the cubic line oracle, the endpoint progression oracle and
+a field-arithmetic pair-key enumerator kept below as a reference, on
+Gaussian affine images of grids, pasted grids, sum-product sets and random
+sets in d = 1..4.
 """
 
 from fractions import Fraction
@@ -155,22 +156,22 @@ def test_gaussian_count_aps_matches_oracle(ps, r):
     _check_progressions(ps, r)
 
 
+# Sets in d = 1..3 whose first coordinate is purely imaginary, so every
+# difference that moves it has a zero real part there and its sign comes from
+# the imaginary part.
+imaginary_first_sets = st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.lists(
+        st.tuples(small, st.tuples(*[st.tuples(small, small)] * (d - 1))),
+        min_size=1, max_size=14, unique=True,
+    )
+).map(lambda raw: pointset_from(
+    [(G(0, a),) + tuple(G(x, y) for x, y in rest) for a, rest in raw], FIELD_GAUSSIAN))
+
+
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=3).flatmap(
-        lambda d: st.lists(
-            st.tuples(small, st.tuples(*[st.tuples(small, small)] * (d - 1))),
-            min_size=1, max_size=14, unique=True,
-        )
-    ),
-    st.integers(min_value=2, max_value=4),
-)
-def test_gaussian_count_aps_with_imaginary_first_differences(raw, r):
-    # the first coordinate is purely imaginary, so every difference that
-    # moves it has a zero real part there and its sign comes from the
-    # imaginary part
-    pts = [(G(0, a),) + tuple(G(x, y) for x, y in rest) for a, rest in raw]
-    _check_progressions(pointset_from(pts, FIELD_GAUSSIAN), r)
+@given(imaginary_first_sets, st.integers(min_value=2, max_value=4))
+def test_gaussian_count_aps_with_imaginary_first_differences(ps, r):
+    _check_progressions(ps, r)
 
 
 def test_gaussian_progression_along_the_imaginary_axis():

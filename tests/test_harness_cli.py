@@ -257,9 +257,12 @@ def test_cli_progressions_cap_the_lifted_power_before_building_it(tmp_path, monk
 
 
 def test_cli_verify_bounds(capsys):
-    assert main(["verify", "--suite", "bounds"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    # "all" adds the claims suite, progression-lift-and-products included
+    for suite in ("bounds", "all"):
+        assert main(["verify", "--suite", suite]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+    assert "progression-lift-and-products" in out
 
 
 def test_cli_sweep(tmp_path):

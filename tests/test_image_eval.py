@@ -196,6 +196,8 @@ def _reference_incidences(ps, lines):
             if not line.contains(ps.points[pi]):
                 raise ValueError(f"point {pi} is not on line {li}")
             edges.append((pi, li))
+        if len(set(line.points)) < len(line.points):
+            raise ValueError("repeated point in a collinear tuple")
     return edges
 
 

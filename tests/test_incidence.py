@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from conftest import random_half_integer_pointset, random_integer_pointset
+from conftest import gaussian_image, random_half_integer_pointset, random_integer_pointset
 from richlines.geometry import (
     Line,
     canonical_line,
@@ -27,6 +28,7 @@ from richlines.pointsets import (
     pointset_from,
 )
 from richlines.scalars import FIELD_GAUSSIAN, GaussianRational, format_scalar
+from richlines.vanishing import extract_hyperplane
 
 F = Fraction
 
@@ -302,6 +304,19 @@ def test_incidences_rejects_bogus_membership():
     fake = Line((F(1), F(0)), (F(0), F(1)), (0, 3))
     with pytest.raises(ValueError):
         incidences(ps, [fake])
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
+def test_incidences_reject_a_repeated_index(gaussian):
+    # a repeated index was once counted twice: 41 edges instead of 40 on
+    # grid(2, 4), and extract_hyperplane reported incidence_count 41
+    ps = gaussian_image(grid(2, 4)) if gaussian else grid(2, 4)
+    lines = rich_lines(ps, 4)
+    assert incidences(ps, lines).edge_count == 40
+    bad = [dataclasses.replace(lines[0], points=(0, 0, 1, 2, 3))] + lines[1:]
+    for call in (incidences, lambda ps, lines: extract_hyperplane(ps, 4, lines=lines)):
+        with pytest.raises(ValueError, match="^repeated point in a collinear tuple$"):
+            call(ps, bad)
 
 
 def test_r_rich_lines_carry_r_incidences():

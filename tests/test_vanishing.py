@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from functools import cached_property
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import richlines.designs as designs
 import richlines.vanishing as vanishing
 import richlines.veronese as veronese
-from conftest import circle_points, coordinate_planes_config, restrict_to_line
+from conftest import circle_points, coordinate_planes_config, gaussian_image, restrict_to_line
 from richlines.geometry import make_hyperplane
 from richlines.incidence import max_hyperplane_subset, rich_lines
 from richlines.pointsets import PointSet, grid, pasted_grids, pointset_from
@@ -283,6 +284,37 @@ def test_classify_rejects_nonvanishing_polynomial():
     f = Polynomial(2, {(1, 0): F(1)})  # x1 does not vanish on rows
     with pytest.raises(ValueError):
         classify_flat_points(ps, lines, f)
+
+
+def _first_column_and_its_form(gaussian):
+    """grid(2, 4), or its Q(i) image, with the line through points 0..3 and
+    the linear form that vanishes on it."""
+    ps = gaussian_image(grid(2, 4)) if gaussian else grid(2, 4)
+    (line,) = [L for L in rich_lines(ps, 4) if L.points == (0, 1, 2, 3)]
+    (u0, u1), (b0, b1) = line.direction, line.base
+    return ps, line, Polynomial(2, {(0, 0): u1 * b0 - u0 * b1, (1, 0): -u1, (0, 1): u0})
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ((0, 1, 2, 16), "line 0 references invalid point index 16"),
+        ((0, 1, 2, -13), "line 0 references invalid point index -13"),
+        ((0, 1, 2, 5), "point 5 is not on line 0"),
+        ((0, 0, 1, 2, 3), "repeated point in a collinear tuple"),
+    ],
+    ids=["16", "-13", "off-line", "repeated"],
+)
+def test_classify_validates_its_lines(gaussian, points, message):
+    # these incidence lists were once read unchecked: 16 and -13 raised a bare
+    # KeyError, (0, 1, 2, 5) counted point 5 on the line and point 3 on none,
+    # and (0, 0, 1, 2, 3) counted point 0 twice
+    ps, line, f = _first_column_and_its_form(gaussian)
+    report = classify_flat_points(ps, [line], f)
+    assert report.incident_counts == (1,) * 4 + (0,) * 12
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify_flat_points(ps, [dataclasses.replace(line, points=points)], f)
 
 
 # -- hyperplane extraction ---------------------------------------------------

@@ -1,8 +1,11 @@
 """Rich-line enumeration, incidence graphs, progression counting.
 
-Line enumeration groups all point pairs by an exact line key, computed on
-the integer image of V (`PointSet.integer_image`), from which each rich
-line is decoded directly; progressions are read off the rich lines.
+Line enumeration groups all point pairs once by an exact line key, computed
+on the integer image of V (`PointSet.integer_image`), and keeps the index
+tuples of the lines with at least 3 points with the set
+(`PointSet.line_family`).  Every r-rich family is a filter over it, each
+line decoded from the key of its first two points; progressions and the
+planar plane search are read off the same family.
 Over Q the key of a pair (p, q) is the sign-canonical primitive direction
 together with the translation invariant p_i * d_piv - p_piv * d_i, which is
 constant along the line.  Over Q(i) the image holds Gaussian integers as
@@ -129,6 +132,33 @@ def _group_pairs_int_2d(pts, groups):
                 bucket.append(j)
 
 
+def _line_family(ps: PointSet) -> tuple[tuple[int, ...], ...]:
+    """The sorted index tuples of the lines through at least 3 points of V,
+    in ascending order, from one grouping of all point pairs by their line
+    key.  `PointSet.line_family` keeps the result with the set; the keys
+    and the two-point lines are dropped, so it holds O(n) index tuples
+    where the grouping held O(n^2) pairs."""
+    d = ps.dim
+    pts, _, gaussian = ps.integer_image
+    groups: dict[tuple, list[int]] = {}
+    if d == 2 and not gaussian:
+        _group_pairs_int_2d(pts, groups)
+    else:
+        key_fn = _gaussian_pair_key if gaussian else _int_pair_key
+        for i in range(len(pts)):
+            pi = pts[i]
+            for j in range(i + 1, len(pts)):
+                key = key_fn(pi, pts[j], d)
+                bucket = groups.get(key)
+                if bucket is None:
+                    groups[key] = [i, j]
+                else:
+                    bucket.append(i)
+                    bucket.append(j)
+    # a k-point line has k(k-1) entries, so a two-point line has 2
+    return tuple(sorted(tuple(sorted(set(m))) for m in groups.values() if len(m) > 2))
+
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -138,14 +168,10 @@ def _line_from_int_key(key, scales, idx, gaussian=False) -> Line:
 
     With dp = prim[piv] > 0, undoing x_t -> s_t * x_t gives
     direction_t = prim_t * s_piv / (s_t * dp) and base_t = inv_t / (s_t * dp).
-    A planar key (dx, dy, cross) has inv = (0, -cross) if dx else (cross, 0).
     A Q(i) key is decoded part by part (dp is real) and each (re, im) pair
     of the result becomes one coordinate.
     """
     d = len(scales)
-    if len(key) == 3:
-        dx, dy, cross = key
-        key = (dx, dy, 0, -cross) if dx else (0, dy, cross, 0)
     prim, inv = key[:d], key[d:]
     piv = 0
     while prim[piv] == 0:
@@ -169,39 +195,28 @@ def _line_from_int_key(key, scales, idx, gaussian=False) -> Line:
 def rich_lines(ps: PointSet, r: int) -> list[Line]:
     """All lines containing at least r points of V, with full incidence lists.
 
-    Output is sorted by (first incident index, second incident index) which
-    is deterministic for a fixed point order.
+    The lines are read off `PointSet.line_family` (for r = 2 with the pairs
+    that no line of it covers), each decoded from the key of its first two
+    points.  Output is sorted by incidence list, which is deterministic for
+    a fixed point order.
     """
     if r < 2:
         raise ValueError("richness threshold must be at least 2")
     d = ps.dim
-    n = len(ps)
     pts, scales, gaussian = ps.integer_image
-    groups: dict[tuple, list[int]] = {}
-    if d == 2 and not gaussian:
-        _group_pairs_int_2d(pts, groups)
-    else:
-        key_fn = _gaussian_pair_key if gaussian else _int_pair_key
-        for i in range(n):
-            pi = pts[i]
-            for j in range(i + 1, n):
-                key = key_fn(pi, pts[j], d)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [i, j]
-                else:
-                    bucket.append(i)
-                    bucket.append(j)
-    out = []
-    for key, members in groups.items():
-        if len(members) < r * (r - 1):  # a k-point line has k(k-1) entries
-            continue
-        idx = sorted(set(members))
-        if len(idx) < r:
-            continue
-        out.append(_line_from_int_key(key, scales, idx, gaussian))
-    out.sort(key=lambda L: L.points)
-    return out
+    key_fn = _gaussian_pair_key if gaussian else _int_pair_key
+    family = ps.line_family
+    groups = [idx for idx in family if len(idx) >= r]
+    if r == 2:
+        covered = {(a, b) for idx in family for a, b in itertools.combinations(idx, 2)}
+        groups += [
+            pair for pair in itertools.combinations(range(len(pts)), 2) if pair not in covered
+        ]
+        groups.sort()
+    return [
+        _line_from_int_key(key_fn(pts[idx[0]], pts[idx[1]], d), scales, idx, gaussian)
+        for idx in groups
+    ]
 
 
 @dataclass(frozen=True)
@@ -360,12 +375,19 @@ def max_hyperplane_subset(ps: PointSet) -> tuple[int, Hyperplane]:
     plane is recounted against V; the winner is built from its first one.
     Ties go to the plane spanned first in lexicographic subset order.  If
     none spans (the whole set is affinely degenerate) a hyperplane
-    containing the affine span is returned together with |V|.
+    containing the affine span is returned together with |V|.  In the plane
+    the hyperplanes are lines, so the answer is the first longest line of
+    `PointSet.line_family`, or the pair (0, 1) when no line has 3 points.
     """
     d = ps.dim
     pts = ps.points
+    if not pts:
+        raise ValueError("empty point set")
     if d == 1:
         return 1, make_hyperplane((Fraction(1),), pts[0][0])
+    if d == 2 and len(pts) > 1:
+        idx = max(ps.line_family, key=len, default=(0, 1))
+        return len(idx), _field_plane_key([pts[idx[0]], pts[idx[1]]])
     ints, scales, gaussian = ps.integer_image
     key_fn, keyed = (_field_plane_key, pts) if gaussian else (_int_plane_key, ints)
     planes: dict = {}  # key -> (first spanning subset, union of spanning subsets)

@@ -1,14 +1,17 @@
-"""Brute-force reference computations used to audit the fast paths.
+"""Independent reference computations used to audit the fast paths.
 
-The line oracle is cubic: for every point pair it scans all other points
-for collinearity and emits a maximal collinear set once, keyed by its two
-lowest indices.  Over Q it runs on the integer image of
+Two line references share no key code with `rich_lines`.  The cubic one,
+`collinear_groups`, scans every other point for collinearity with each
+point pair and emits a maximal collinear set once, keyed by its two lowest
+indices; the tests compare against it.  The quadratic one,
+`direction_groups`, anchors on each point and groups the later points by
+their direction from it, scaled so its first nonzero entry is 1; the sweep
+audits `rich_lines` against it.  Over Q both run on the integer image of
 `PointSet.integer_image` (an invertible per-axis scaling, so collinearity
-is untouched), which keeps it exact and fast enough for the
-n <= a-few-hundred audits.  Over Q(i) the same cross-product test runs in
-field arithmetic on V itself, so it stays independent of the realified
-Gaussian-integer keys that `rich_lines` uses there.  The progression oracle
-stays on field arithmetic throughout, independent of that model.
+is untouched).  Over Q(i) both run in field arithmetic on V itself, so they
+stay independent of the realified Gaussian-integer keys that `rich_lines`
+uses there.  The progression oracle stays on field arithmetic throughout,
+independent of that model.
 """
 
 from __future__ import annotations
@@ -51,12 +54,51 @@ def collinear_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
     return groups
 
 
+def direction_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
+    """Index sets of all maximal collinear groups of size >= r, in O(n^2 d).
+
+    For each point i the points j > i are grouped by the direction of
+    p_j - p_i scaled so its first nonzero entry is 1 (`Fraction`s of the
+    integer image over Q, `GaussianRational`s of V over Q(i)), keyed by the
+    position k of that entry and the entries after it.  {i} and a class
+    form V's points on one line from i on.  A class whose direction an
+    emitted group already carried through i is a tail of that group, so
+    each maximal group is emitted once, at its lowest point.
+    """
+    from fractions import Fraction
+
+    if r < 2:
+        raise ValueError("need r >= 2")
+    ints, _, gaussian = ps.integer_image
+    pts = ps.points if gaussian else ints
+    ratio = (lambda a, b: a / b) if gaussian else Fraction
+    n = len(pts)
+    groups: set[frozenset[int]] = set()
+    seen: set[tuple] = set()  # (point, direction) of each emitted group
+    for i in range(n):
+        pi = pts[i]
+        classes: dict[tuple, list[int]] = {}
+        for j in range(i + 1, n):
+            diff = [b - a for a, b in zip(pi, pts[j])]
+            k = 0
+            while not diff[k]:
+                k += 1
+            lead = diff[k]
+            classes.setdefault((k, *[ratio(c, lead) for c in diff[k + 1 :]]), [i]).append(j)
+        for key, members in classes.items():
+            if len(members) >= r and (i, key) not in seen:
+                groups.add(frozenset(members))
+                seen.update((j, key) for j in members)
+    return groups
+
+
 def rich_lines_match_oracle(ps: PointSet, r: int) -> bool:
-    """Exact equality of the pair-grouping enumerator against the oracle."""
+    """Whether `rich_lines` lists exactly the groups of the quadratic
+    reference `direction_groups`, each once."""
     from .incidence import rich_lines
 
-    fast = {frozenset(line.points) for line in rich_lines(ps, r)}
-    return fast == collinear_groups(ps, r)
+    fast = [frozenset(line.points) for line in rich_lines(ps, r)]
+    return len(set(fast)) == len(fast) and set(fast) == direction_groups(ps, r)
 
 
 def ap_count_oracle(ps: PointSet, r: int) -> int:

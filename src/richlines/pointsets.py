@@ -136,6 +136,16 @@ class PointSet:
         )
         return ints, scales, gaussian
 
+    @cached_property
+    def line_family(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted index tuples of the lines through at least 3 points of
+        V, in ascending order.  Built on first use and kept with this object
+        (never shared by value with an equal set), so every r-rich family
+        and the planar plane search read one grouping of the pairs."""
+        from .incidence import _line_family
+
+        return _line_family(self)
+
 
 def pointset_from(points, field: str | None = None, labels=None) -> PointSet:
     pts = [tuple(p) for p in points]

@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 
 from conftest import gaussian_image, random_half_integer_pointset, random_integer_pointset
+from test_gaussian_incidence import gaussian_sets
 from richlines.geometry import (
     Line,
     canonical_line,
@@ -13,7 +14,13 @@ from richlines.geometry import (
     make_hyperplane,
     vsub,
 )
+from richlines import incidence
+from richlines.harness import ExperimentConfig, run_experiment
 from richlines.incidence import (
+    _gaussian_pair_key,
+    _group_pairs_int_2d,
+    _int_pair_key,
+    _line_from_int_key,
     count_aps,
     incidences,
     lift_progressions,
@@ -21,8 +28,14 @@ from richlines.incidence import (
     rich_lines,
 )
 from richlines.linalg import right_nullspace
-from richlines.oracle import ap_count_oracle, collinear_groups, rich_lines_match_oracle
+from richlines.oracle import (
+    ap_count_oracle,
+    collinear_groups,
+    direction_groups,
+    rich_lines_match_oracle,
+)
 from richlines.pointsets import (
+    PointSet,
     cartesian_power,
     grid,
     pointset_from,
@@ -559,3 +572,143 @@ def test_degenerate_plane_normal_is_the_first_rref_kernel_vector(ps):
     assert count == len(pts)
     as_bytes = lambda h: [format_scalar(c) for c in (*h.normal, h.offset)]
     assert as_bytes(plane) == as_bytes(want)
+
+
+def test_max_hyperplane_rejects_an_empty_set():
+    # only pointset_from rejects empty input; a bare PointSet reached the
+    # plane search and raised IndexError
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="^empty point set$"):
+            max_hyperplane_subset(PointSet(d, "Q", ()))
+
+
+# -- the line family ---------------------------------------------------------
+
+
+def pair_grouping_rich_lines(ps, r):
+    """Reference enumerator: every point pair grouped by its line key on the
+    integer image, per call, each r-rich group decoded from its key."""
+    d, n = ps.dim, len(ps)
+    pts, scales, gaussian = ps.integer_image
+    groups = {}
+    if d == 2 and not gaussian:
+        _group_pairs_int_2d(pts, groups)
+        # the planar key (dx, dy, x dy - y dx) as (prim, inv)
+        groups = {
+            ((dx, dy, 0, -cross) if dx else (0, dy, cross, 0)): m
+            for (dx, dy, cross), m in groups.items()
+        }
+    else:
+        key_fn = _gaussian_pair_key if gaussian else _int_pair_key
+        for i in range(n):
+            for j in range(i + 1, n):
+                groups.setdefault(key_fn(pts[i], pts[j], d), []).extend((i, j))
+    out = []
+    for key, members in groups.items():
+        idx = sorted(set(members))
+        if len(idx) >= r:
+            out.append(_line_from_int_key(key, scales, idx, gaussian))
+    out.sort(key=lambda L: L.points)
+    return out
+
+
+family_inputs = st.one_of(
+    plane_search_inputs(),
+    gaussian_sets(max_points=16),
+    st.sampled_from([(1, 7), (2, 4), (3, 3), (4, 2)]).map(lambda dh: grid(*dh)),
+    st.sampled_from([(1, 3), (2, 2), (3, 2)]).map(
+        lambda ne: cartesian_power(pointset_from([(F(0),), (F(1),), (F(3),)][: ne[0]]), ne[1])
+    ),
+)
+
+
+def _as_values(lines):
+    return [(L.direction, L.base, L.points, [type(c) for c in L.direction + L.base])
+            for L in lines]
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_inputs)
+def test_rich_lines_filter_the_family_like_a_fresh_grouping(ps):
+    for r in (2, 3, 4, 5):
+        assert _as_values(rich_lines(ps, r)) == _as_values(pair_grouping_rich_lines(ps, r))
+    assert all(len(idx) >= 3 and list(idx) == sorted(idx) for idx in ps.line_family)
+    assert list(ps.line_family) == sorted(ps.line_family)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = incidence._line_family
+
+    def counted(ps):
+        builds.append(ps)
+        return build(ps)
+
+    monkeypatch.setattr(incidence, "_line_family", counted)
+    return builds
+
+
+def test_one_grouping_per_point_set_in_a_sweep(monkeypatch):
+    # every r's lines, the progressions, the plane search and the audit of a
+    # row set read one family; per-call grouping ran 6 times per set here
+    builds = _count_builds(monkeypatch)
+    cfg = ExperimentConfig.from_dict({
+        "generator": {"kind": "grid", "d": 2, "h": [3, 4, 5]},
+        "r_values": [3, 4],
+        "pipelines": ["progressions"],
+    })
+    report = run_experiment(cfg)
+    assert report["ok"] and all(row["oracle_audit"] for row in report["rows"])
+    assert [len(ps) for ps in builds] == [9, 16, 25]
+
+
+def test_equal_sets_and_subsets_build_their_own_family(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    a, b = grid(2, 4), grid(2, 4)
+    assert a == b
+    for ps, r in ((a, 3), (a, 4), (b, 3)):
+        rich_lines(ps, r)
+    assert builds == [a, b] and builds[0] is a and builds[1] is b
+    sub = a.subset(range(5))
+    assert _as_values(rich_lines(sub, 2)) == _as_values(pair_grouping_rich_lines(sub, 2))
+    assert len(builds) == 3 and builds[2] is sub
+    assert sub.line_family != a.line_family
+
+
+# -- the audit's reference ---------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_inputs, st.integers(min_value=2, max_value=5))
+def test_direction_groups_match_the_cubic_oracle(ps, r):
+    assert direction_groups(ps, r) == collinear_groups(ps, r)
+
+
+def _drop_point(lines):
+    return [dataclasses.replace(lines[0], points=lines[0].points[:-1])] + lines[1:]
+
+
+def _split_line(lines):
+    p = lines[0].points
+    halves = [dataclasses.replace(lines[0], points=p[:2]), dataclasses.replace(lines[0], points=p[2:])]
+    return halves + lines[1:]
+
+
+def _repeat_line(lines):
+    return lines + lines[:1]
+
+
+def _stray_group(lines):
+    # points 0, 1 and 4 of grid(2, 4) are (1, 1), (1, 2) and (2, 1)
+    return lines + [dataclasses.replace(lines[0], points=(0, 1, 4))]
+
+
+@pytest.mark.parametrize("mutate", [_drop_point, _split_line, _repeat_line, _stray_group])
+def test_sweep_audit_catches_a_wrong_line_family(monkeypatch, mutate):
+    fast = incidence.rich_lines
+    monkeypatch.setattr(incidence, "rich_lines", lambda ps, r: mutate(fast(ps, r)))
+    cfg = ExperimentConfig.from_dict({"generator": {"kind": "grid", "d": 2, "h": 4}, "r_values": [3]})
+    report = run_experiment(cfg)
+    assert report["rows"][0]["oracle_audit"] is False
+    assert report["violations"] == ["oracle mismatch at n=16 r=3"]
+    assert not report["ok"]

@@ -3,9 +3,11 @@
 Line enumeration groups all point pairs once by an exact line key, computed
 on the integer image of V (`PointSet.integer_image`), and keeps the index
 tuples of the lines with at least 3 points with the set
-(`PointSet.line_family`).  Every r-rich family is a filter over it, each
-line decoded from the key of its first two points; progressions and the
-planar plane search are read off the same family.
+(`PointSet.line_family`).  Every r-rich family is a filter over it
+(`_rich_index_tuples`); `rich_lines` decodes each line from the key of its
+first two points, while progressions and the planar plane search read the
+index tuples directly.  Membership tests clear a line's denominators on the
+image (`line_image`) with integer arithmetic only.
 Over Q the key of a pair (p, q) is the sign-canonical primitive direction
 together with the translation invariant p_i * d_piv - p_piv * d_i, which is
 constant along the line.  Over Q(i) the image holds Gaussian integers as
@@ -20,9 +22,10 @@ the canonical `Hyperplane` over Q(i).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .geometry import (
     Hyperplane,
@@ -33,9 +36,9 @@ from .geometry import (
     plane_normal,
     vsub,
 )
-from .linalg import first_kernel_vector, integer_vector
+from .linalg import first_kernel_vector
 from .pointsets import PointSet
-from .scalars import GaussianRational
+from .scalars import GaussianRational, imag_part, real_part
 
 
 def _primitive(vec):
@@ -192,30 +195,36 @@ def _line_from_int_key(key, scales, idx, gaussian=False) -> Line:
     return Line(tuple(direction), tuple(base), tuple(idx))
 
 
+def _rich_index_tuples(ps: PointSet, r: int) -> list[tuple[int, ...]]:
+    """The index tuples of the r-rich lines of V, in ascending order: the
+    lines of `PointSet.line_family` with at least r points, and for r = 2
+    also the pairs that no line of it covers."""
+    family = ps.line_family
+    groups = [idx for idx in family if len(idx) >= r]
+    if r == 2:
+        covered = {(a, b) for idx in family for a, b in itertools.combinations(idx, 2)}
+        groups += [
+            pair for pair in itertools.combinations(range(len(ps)), 2) if pair not in covered
+        ]
+        groups.sort()
+    return groups
+
+
 def rich_lines(ps: PointSet, r: int) -> list[Line]:
     """All lines containing at least r points of V, with full incidence lists.
 
-    The lines are read off `PointSet.line_family` (for r = 2 with the pairs
-    that no line of it covers), each decoded from the key of its first two
-    points.  Output is sorted by incidence list, which is deterministic for
-    a fixed point order.
+    The lines are `_rich_index_tuples(ps, r)`, each decoded from the key of
+    its first two points.  Output is sorted by incidence list, which is
+    deterministic for a fixed point order.
     """
     if r < 2:
         raise ValueError("richness threshold must be at least 2")
     d = ps.dim
     pts, scales, gaussian = ps.integer_image
     key_fn = _gaussian_pair_key if gaussian else _int_pair_key
-    family = ps.line_family
-    groups = [idx for idx in family if len(idx) >= r]
-    if r == 2:
-        covered = {(a, b) for idx in family for a, b in itertools.combinations(idx, 2)}
-        groups += [
-            pair for pair in itertools.combinations(range(len(pts)), 2) if pair not in covered
-        ]
-        groups.sort()
     return [
         _line_from_int_key(key_fn(pts[idx[0]], pts[idx[1]], d), scales, idx, gaussian)
-        for idx in groups
+        for idx in _rich_index_tuples(ps, r)
     ]
 
 
@@ -247,10 +256,22 @@ class IncidenceGraph:
 def line_image(line: Line, scales, gaussian: bool = False):
     """(D, B, U), D > 0 least with B = D * s * base and U = D * s * direction
     integral for the scales s of an `integer_image` (realified over Q(i), like
-    the image), so that base + t * direction maps to (B + t U) / D."""
-    axis = scales[::2] if gaussian else scales
-    w, D = integer_vector([c * s for c, s in zip(line.base + line.direction, axis + axis)], gaussian)
-    w = [x for pair in w for x in pair] if gaussian else w
+    the image), so that base + t * direction maps to (B + t U) / D.
+
+    Each part x = num / den times its scale s is num * (s / g) over den / g,
+    g = gcd(s, den), in lowest terms, so D is the lcm of those denominators.
+    """
+    parts = line.base + line.direction
+    if gaussian:
+        parts = [x for c in parts for x in (real_part(c), imag_part(c))]
+    nums, dens = [], []
+    for x, s in zip(parts, scales + scales):
+        den = x.denominator
+        g = gcd(s, den)
+        nums.append(x.numerator * (s // g))
+        dens.append(den // g)
+    D = lcm(*dens)
+    w = [a * (D // b) for a, b in zip(nums, dens)]
     return D, w[: len(scales)], w[len(scales) :]
 
 
@@ -308,21 +329,26 @@ class APRecord:
 
 
 def _progressions(ps: PointSet, r: int) -> list[tuple[list[int], APRecord]]:
-    """The r-term progressions of V, read off `rich_lines(ps, r)`, as index
-    lists [y, y+x, ..., y+(r-1)x] with their records, in the (i, j) order
-    of their first two terms.  The image's pivot coordinate of a canonical
-    line (its (re, im) parts over Q(i), one positive scale) is an affine
-    parameter, and x is sign-canonical iff its step is positive in (re, im)
-    order, so each progression is found once, at its two smallest terms.
+    """The r-term progressions of V, read off the index tuples
+    `_rich_index_tuples(ps, r)`, as index lists [y, y+x, ..., y+(r-1)x] with
+    their records, in the (i, j) order of their first two terms.  On the
+    integer image the pivot coordinate of a line (the first whose (re, im)
+    parts differ between its first two points; one positive scale) is an
+    affine parameter, and x is sign-canonical iff its step is positive in
+    (re, im) order, so each progression is found once, at its two smallest
+    terms.  Records with one image step share one difference.
     """
     if r < 2:
         raise ValueError("progression length must be at least 2")
     keys, _, gaussian = ps.integer_image
     k = 2 if gaussian else 1
     found = []
-    for line in rich_lines(ps, r):
-        piv = line.pivot * k
-        at = {keys[i][piv : piv + k]: i for i in line.points}
+    for idx in _rich_index_tuples(ps, r):
+        p, q = keys[idx[0]], keys[idx[1]]
+        piv = 0
+        while p[piv : piv + k] == q[piv : piv + k]:
+            piv += k
+        at = {keys[i][piv : piv + k]: i for i in idx}
         params = sorted(at)
         top = params[-1][0]
         for ia, a in enumerate(params):
@@ -330,12 +356,24 @@ def _progressions(ps: PointSet, r: int) -> list[tuple[list[int], APRecord]]:
                 # real steps only grow along b, so no later b reaches r terms
                 if a[0] + (r - 1) * (b[0] - a[0]) > top:
                     break
-                terms = [at.get(tuple(x + m * (y - x) for x, y in zip(a, b))) for m in range(r)]
-                if None not in terms:
+                terms = [at[a], at[b]]
+                for m in range(2, r):
+                    i = at.get(tuple([x + m * (y - x) for x, y in zip(a, b)]))
+                    if i is None:
+                        break
+                    terms.append(i)
+                else:
                     found.append(terms)
     found.sort(key=lambda t: sorted(t[:2]))
     pts = ps.points
-    return [(t, APRecord(pts[t[0]], vsub(pts[t[1]], pts[t[0]]), r)) for t in found]
+    diffs: dict[tuple, Point] = {}  # image step -> V's difference
+    out = []
+    for t in found:
+        step = tuple(map(operator.sub, keys[t[1]], keys[t[0]]))
+        if step not in diffs:
+            diffs[step] = vsub(pts[t[1]], pts[t[0]])
+        out.append((t, APRecord(pts[t[0]], diffs[step], r)))
+    return out
 
 
 def count_aps(ps: PointSet, r: int) -> tuple[int, list[APRecord]]:

@@ -5,16 +5,18 @@ Two line references share no key code with `rich_lines`.  The cubic one,
 point pair and emits a maximal collinear set once, keyed by its two lowest
 indices; the tests compare against it.  The quadratic one,
 `direction_groups`, anchors on each point and groups the later points by
-their direction from it, scaled so its first nonzero entry is 1; the sweep
-audits `rich_lines` against it.  Over Q both run on the integer image of
-`PointSet.integer_image` (an invertible per-axis scaling, so collinearity
-is untouched).  Over Q(i) both run in field arithmetic on V itself, so they
-stay independent of the realified Gaussian-integer keys that `rich_lines`
-uses there.  The progression oracle stays on field arithmetic throughout,
-independent of that model.
+their direction from it, scaled so its first nonzero entry is 1 (over Q as
+reduced integer ratios); the sweep audits `rich_lines` against it.  Over Q
+both run on the integer image of `PointSet.integer_image` (an invertible
+per-axis scaling, so collinearity is untouched).  Over Q(i) both run in
+field arithmetic on V itself, so they stay independent of the realified
+Gaussian-integer keys that `rich_lines` uses there.  The progression oracle
+stays on field arithmetic throughout, independent of that model.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .pointsets import PointSet
 
@@ -54,24 +56,30 @@ def collinear_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
     return groups
 
 
+def _reduced_ratio(c: int, lead: int) -> tuple[int, int]:
+    """c / lead in lowest terms, as (numerator, denominator > 0)."""
+    g = gcd(c, lead)
+    if lead < 0:
+        g = -g
+    return c // g, lead // g
+
+
 def direction_groups(ps: PointSet, r: int) -> set[frozenset[int]]:
     """Index sets of all maximal collinear groups of size >= r, in O(n^2 d).
 
     For each point i the points j > i are grouped by the direction of
-    p_j - p_i scaled so its first nonzero entry is 1 (`Fraction`s of the
-    integer image over Q, `GaussianRational`s of V over Q(i)), keyed by the
-    position k of that entry and the entries after it.  {i} and a class
-    form V's points on one line from i on.  A class whose direction an
-    emitted group already carried through i is a tail of that group, so
+    p_j - p_i scaled so its first nonzero entry is 1 (reduced integer ratios
+    of the integer image over Q, `GaussianRational`s of V over Q(i)), keyed
+    by the position k of that entry and the entries after it.  {i} and a
+    class form V's points on one line from i on.  A class whose direction
+    an emitted group already carried through i is a tail of that group, so
     each maximal group is emitted once, at its lowest point.
     """
-    from fractions import Fraction
-
     if r < 2:
         raise ValueError("need r >= 2")
     ints, _, gaussian = ps.integer_image
     pts = ps.points if gaussian else ints
-    ratio = (lambda a, b: a / b) if gaussian else Fraction
+    ratio = (lambda a, b: a / b) if gaussian else _reduced_ratio
     n = len(pts)
     groups: set[frozenset[int]] = set()
     seen: set[tuple] = set()  # (point, direction) of each emitted group

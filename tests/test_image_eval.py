@@ -2,11 +2,12 @@
 
 f, its partials, line membership and hyperplane membership are evaluated
 on the integer image y = s * p of `PointSet.integer_image` (`veronese.cleared`,
-`vanishing._line_test`, `vanishing._members`, `incidence.incidences`).
-Each is checked against the field-arithmetic reference it replaced:
-`Polynomial.evaluate` (by type and `format_scalar` bytes), the
-`point_at(t)` check at t = 0..deg, `Hyperplane.members` and `Line.contains`,
-over Q and Q(i), d = 1..4, deg = 0..3.
+`vanishing._line_test`, `vanishing._members`, `incidence.incidences`,
+`incidence.line_image`).  Each is checked against the field-arithmetic
+reference it replaced: `Polynomial.evaluate` (by type and `format_scalar`
+bytes), the `point_at(t)` check at t = 0..deg, `Hyperplane.members`,
+`Line.contains` and the `Fraction`-product line image, over Q and Q(i),
+d = 1..4, deg = 0..3.
 """
 
 import itertools
@@ -14,16 +15,16 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import richlines.vanishing as vanishing
 from richlines.geometry import Line, canonical_line, dot, make_hyperplane
-from richlines.incidence import incidences
+from richlines.incidence import incidences, line_image
 from richlines.pointsets import pointset_from
 from richlines.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, format_scalar
 from richlines.vanishing import classify_flat_points, find_vanishing_poly, hyperplane_from_product
-from richlines.linalg import int_dot
+from richlines.linalg import int_dot, integer_vector
 from richlines.veronese import Polynomial, cleared, monomial_basis, monomial_rows
 
 F = Fraction
@@ -255,3 +256,60 @@ def test_vanishing_search_is_capped_by_the_point_count(case, extra):
                            lambda ps, deg: built.append(deg) or real(ps, deg)):
         assert find_vanishing_poly(ps, cap + extra) == find_vanishing_poly(ps, cap)
     assert built == [cap, cap]
+
+
+def fraction_product_line_image(line, scales, gaussian=False):
+    """The former `line_image`: every coordinate times its axis scale in field
+    arithmetic, then the denominators cleared by one `integer_vector`."""
+    axis = scales[::2] if gaussian else scales
+    w, D = integer_vector([c * s for c, s in zip(line.base + line.direction, axis + axis)], gaussian)
+    w = [x for pair in w for x in pair] if gaussian else w
+    return D, w[: len(scales)], w[len(scales) :]
+
+
+# parts and scales built from the primes 2, 3 and 5, so that they share factors
+_part = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10, 12, 15, 30]))
+_scale = st.sampled_from([1, 2, 3, 4, 6, 10, 12, 30])
+
+
+@st.composite
+def image_lines(draw):
+    """A Q or Q(i) line in d = 1..4 and scales of an image (both parts of an
+    axis share its scale over Q(i))."""
+    gaussian = draw(st.booleans())
+    d = draw(st.integers(1, 4))
+    scalar = st.builds(G, _part, _part) if gaussian else _part
+    base = tuple(draw(scalar) for _ in range(d))
+    direction = tuple(draw(scalar) for _ in range(d))
+    axis = [draw(_scale) for _ in range(d)]
+    scales = tuple(s for s in axis for _ in range(2 if gaussian else 1))
+    return Line(direction, base), scales, gaussian
+
+
+def _prime_factors(m):
+    p = 2
+    while m > 1:
+        if m % p == 0:
+            yield p
+            while m % p == 0:
+                m //= p
+        p += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_lines())
+@example((Line((F(3, 4),), (F(-5, 6),)), (6,), False))
+@example((Line((G(F(-1, 4), F(3, 10)),), (G(F(5, 6), F(-7, 15)),)), (30, 30), True))
+def test_line_image_matches_the_fraction_product_reference(case):
+    line, scales, gaussian = case
+    D, B, U = line_image(line, scales, gaussian)
+    assert (D, B, U) == fraction_product_line_image(line, scales, gaussian)
+    assert all(type(x) is int for x in [D, *B, *U])
+    parts = line.base + line.direction
+    if gaussian:
+        parts = [x for c in parts for x in (c.re, c.im)]
+    scaled = [s * x for s, x in zip(scales + scales, parts)]
+    assert [D * x for x in scaled] == B + U
+    # least: no proper divisor D / p clears every denominator
+    for p in _prime_factors(D):
+        assert any(((D // p) * x).denominator != 1 for x in scaled)

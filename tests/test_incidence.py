@@ -684,6 +684,32 @@ def test_direction_groups_match_the_cubic_oracle(ps, r):
     assert direction_groups(ps, r) == collinear_groups(ps, r)
 
 
+_PLANAR = [(0, 0), (-2, -4), (4, 8), (-1, -2), (1, -2), (2, -4), (3, 1)]
+
+
+@pytest.mark.parametrize("raw, rich", [
+    # d = 1: one line, leads of both signs
+    ([(0,), (3,), (-2,), (5,)], [{0, 1, 2, 3}]),
+    # d = 2: leads -2, 4 and -1 along (1, 2) and 1, 2 along (1, -2), each
+    # sharing its gcd with the entry after it
+    (_PLANAR, [{0, 1, 2, 3}, {0, 4, 5}]),
+    # the same set under (x, y) -> (x / 2, -y / 3): a rational image
+    ([(F(x, 2), F(-y, 3)) for x, y in _PLANAR], [{0, 1, 2, 3}, {0, 4, 5}]),
+    # d = 3: the lead in the second coordinate, -3 from the first point
+    ([(1, 0, 0), (1, -3, 6), (1, 3, -6), (1, 6, -12), (0, 0, 0), (2, 0, 0)],
+     [{0, 1, 2, 3}, {0, 4, 5}]),
+    # d = 4: leads -6, 3 and 9 with entries sharing 2 or 3 with them
+    ([(0, 0, 0, 0), (-6, 4, -2, 10), (3, -2, 1, -5), (9, -6, 3, -15), (0, 0, 0, 1),
+      (0, 0, 0, -2)], [{0, 1, 2, 3}, {0, 4, 5}]),
+])
+def test_direction_groups_on_negative_and_shared_gcd_leads(raw, rich):
+    ps = pointset_from([tuple(F(c) for c in p) for p in raw])
+    groups = direction_groups(ps, 2)
+    assert groups == collinear_groups(ps, 2)
+    assert {g for g in groups if len(g) > 2} == {frozenset(g) for g in rich}
+    assert direction_groups(ps, 3) == {frozenset(g) for g in rich}
+
+
 def _drop_point(lines):
     return [dataclasses.replace(lines[0], points=lines[0].points[:-1])] + lines[1:]
 

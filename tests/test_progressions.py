@@ -1,7 +1,8 @@
 """Progressions read off the rich lines, against the pair-stepping scan.
 
-`count_aps` and `lift_progressions` read each r-term progression off
-`rich_lines(ps, r)` and build each lifted line from point indices.  The
+`count_aps` and `lift_progressions` read each r-term progression off the
+index tuples of the r-rich lines, decoding no `Line`, and build each lifted
+line from point indices.  The
 routines they replaced are kept below as references: a scan of all n^2
 point pairs, stepped on the integer image with a sign rule of its own, and
 a lift that rebuilds every term in field arithmetic and looks it up in the
@@ -16,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_image
+from richlines import harness, incidence
 from richlines.geometry import Line, vsub
+from richlines.harness import ExperimentConfig, run_experiment
 from richlines.incidence import APRecord, count_aps, lift_progressions
 from richlines.pointsets import PointSet, cartesian_power, grid, index_prefix, pointset_from
 from richlines.scalars import FIELD_GAUSSIAN, GaussianRational, coerce, sign_positive
@@ -156,3 +159,38 @@ def test_progressions_need_two_terms():
     for call in (count_aps, lift_progressions):
         with pytest.raises(ValueError, match="^progression length must be at least 2$"):
             call(ps, 1)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
+def test_progressions_decode_no_line(monkeypatch, gaussian):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a progression scan decoded a line")
+
+    ps = gaussian_image(grid(2, 4)) if gaussian else grid(2, 4)
+    monkeypatch.setattr(incidence, "_line_from_int_key", refuse)
+    for r, count in ((2, 120), (3, 24), (4, 10)):
+        assert count_aps(ps, r)[0] == count
+        _, records, lines = lift_progressions(ps, r)
+        assert len(records) == len(lines) == count
+
+
+def test_a_sweep_row_decodes_its_lines_once_per_r_and_audit(monkeypatch):
+    # per r: the row's lines and the audit's; the progressions read the
+    # family's index tuples
+    calls = []
+    fast = incidence.rich_lines
+
+    def counted(ps, r):
+        calls.append(r)
+        return fast(ps, r)
+
+    monkeypatch.setattr(incidence, "rich_lines", counted)
+    monkeypatch.setattr(harness, "rich_lines", counted)
+    cfg = ExperimentConfig.from_dict({
+        "generator": {"kind": "grid", "d": 2, "h": 4},
+        "r_values": [3, 4],
+        "pipelines": ["progressions"],
+    })
+    report = run_experiment(cfg)
+    assert report["ok"] and [row["progressions"] for row in report["rows"]] == [24, 10]
+    assert sorted(calls) == [3, 3, 4, 4]

@@ -25,7 +25,7 @@ from random import Random
 
 from .geometry import Line, canonical_line
 from .incidence import first_off_line
-from .linalg import Matrix, annihilates, gaussian_mul, integer_vector, right_nullspace
+from .linalg import Matrix, annihilates, gaussian_mul, integer_vector, right_nullspace, sparse_rank
 from .pointsets import PointSet
 from .scalars import GaussianRational, Scalar
 from .veronese import integer_veronese
@@ -154,7 +154,16 @@ class DesignMatrix:
         return Matrix(data)
 
     def rank(self) -> int:
-        return self.to_matrix().rank()
+        """rank(A) by `sparse_rank` of its rows, each cleared to (Gaussian)
+        integers; an entry outside rows x cols raises ValueError."""
+        gaussian = any(isinstance(v, GaussianRational) for v in self.entries.values())
+        rows = [{} for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            if not (0 <= i < self.rows and 0 <= j < self.cols):
+                raise ValueError(f"entry ({i}, {j}) outside {self.rows} x {self.cols}")
+            rows[i][j] = v
+        return sparse_rank([dict(zip(r, integer_vector(r.values(), gaussian)[0]))
+                            for r in rows], gaussian)
 
     def product_with(self, M: Matrix) -> Matrix:
         if self.cols != M.rows:

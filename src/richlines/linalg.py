@@ -1,20 +1,22 @@
 """Exact linear algebra over Q and Q(i): rank, RREF, nullspaces.
 
-Rank has one core, `_bareiss_core`: fraction-free (Bareiss) elimination in
-integers with a deterministic pivot rule (leftmost column, first row with a
-nonzero entry).  A Q(i) matrix is realified per entry, x + iy to the block
-[[x, -y], [y, x]], so its rank over Q is twice its rank over Q(i).  The same
-elimination gives `integer_rank` and, by back-substitution in its echelon
-form, `first_kernel_vector`.  A separate reduced-row-echelon routine,
-ordinary Gauss-Jordan over the field, provides nullspaces and doubles as an
-independent oracle for cross checks.
+Rank has one core, `sparse_rank`: fraction-free elimination over Z of rows
+held as {column: nonzero int}, each reduced only against the pivot rows that
+own its leading columns and divided by its content after every step.  A
+Q(i) matrix is realified per entry, x + iy to the block [[x, -y], [y, x]],
+so its rank over Q is twice its rank over Q(i).  `integer_rank` and
+`bareiss_rank` hand it dense integer and field matrices.  Dense Bareiss
+elimination (`_bareiss_core`) gives `first_kernel_vector` the rank and, by
+back-substitution in its echelon form, the first kernel vector.  A separate
+reduced-row-echelon routine, ordinary Gauss-Jordan over the field, provides
+nullspaces and doubles as an independent oracle for cross checks.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .scalars import GaussianRational, Scalar, imag_part, real_part
 
@@ -63,19 +65,62 @@ class Matrix:
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of a matrix over Q or Q(i): each row is cleared to (Gaussian)
-    integers, which never changes the rank, and `integer_rank` takes over."""
+    """Rank of a dense matrix over Q or Q(i): each row is cleared to
+    (Gaussian) integers, which never changes the rank, and `integer_rank`
+    takes over; ragged rows raise ValueError."""
     rows = [list(r) for r in rows]
     gaussian = any(isinstance(x, GaussianRational) for r in rows for x in r)
     return integer_rank([integer_vector(r, gaussian)[0] for r in rows], gaussian)
 
 
 def integer_rank(rows, gaussian: bool = False) -> int:
-    """Rank of an integer matrix, which is left as it is, by fraction-free
-    (Bareiss) elimination.  Over Q(i) the entries are (re, im) pairs and the
-    matrix is realified (`_realified`)."""
-    a = _realified(rows) if gaussian else [list(r) for r in rows]
-    return _bareiss_core(a)[0] // (2 if gaussian else 1)
+    """Rank of a dense integer matrix ((re, im) pairs over Q(i)) by
+    `sparse_rank`; ragged rows raise ValueError."""
+    rows = [list(r) for r in rows]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    return sparse_rank([dict(enumerate(r)) for r in rows], gaussian)
+
+
+def sparse_rank(rows, gaussian: bool = False) -> int:
+    """Rank of an integer matrix given as rows {column: entry}, with (re, im)
+    pairs over Q(i), realified (`_realified_sparse`); zero entries are dropped.
+
+    Rows enter the echelon form one by one.  A row whose leading (largest)
+    column already owns a pivot row b becomes p * row - f * b, with p and f
+    b's and the row's entries there, each divided by their gcd.  That column
+    cancels, so it is dropped rather than computed, and the row is then
+    divided by its content.  Otherwise the row takes the column as its
+    pivot.  Since p != 0 no step changes the span of the rows seen so far,
+    and the pivot rows, with distinct leading columns, are independent.  A
+    pivot row never changes, and a row meets only the pivot rows of columns
+    it holds.  Content removal keeps each row a primitive multiple of a
+    fixed rational vector, so its entries stay bounded by minors, as in
+    Bareiss.  The rank is the number of pivots.
+    """
+    pivots = {}  # leading column -> (its entry, the pivot row's other entries)
+    for row in _realified_sparse(rows) if gaussian else rows:
+        row = {j: x for j, x in row.items() if x}
+        while row:
+            lead = max(row)
+            f = row.pop(lead)
+            if lead not in pivots:
+                pivots[lead] = f, row
+                break
+            p, b = pivots[lead]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            row = {j: p * x for j, x in row.items()}
+            for j, y in b.items():
+                x = row.get(j, 0) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+    return len(pivots) // (2 if gaussian else 1)
 
 
 def _realified(rows) -> list:
@@ -84,6 +129,15 @@ def _realified(rows) -> list:
     imaginary parts of unknown j, and the rank over Q doubles."""
     return [h for r in rows for h in ([z for x, y in r for z in (x, -y)],
                                       [z for x, y in r for z in (y, x)])]
+
+
+def _realified_sparse(rows) -> list:
+    """`_realified` for rows {column j: (x, y)}, as rows {column: int}."""
+    out = []
+    for r in rows:
+        out.append({k: v for j, (x, y) in r.items() for k, v in ((2 * j, x), (2 * j + 1, -y))})
+        out.append({k: v for j, (x, y) in r.items() for k, v in ((2 * j, y), (2 * j + 1, x))})
+    return out
 
 
 def _bareiss_core(a) -> tuple[int, int]:

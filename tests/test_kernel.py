@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richlines import linalg
+from richlines import designs, linalg
 from richlines.incidence import max_hyperplane_subset
 from richlines.linalg import first_kernel_vector, integer_rank, right_nullspace, rref_rank
 from richlines.pointsets import pointset_from
@@ -144,12 +144,13 @@ _TWO_LINES = [
 @pytest.mark.parametrize("field, pts", _TWO_LINES)
 def test_one_certificate_eliminates_m_once(field, pts):
     # two 4-rich lines: y(y - 1) spans the kernel of the degree-2 M.  One
-    # Bareiss elimination gives rank(M) and that kernel vector; the other
-    # elimination is rank(A).
-    with mock.patch.object(linalg, "_bareiss_core", wraps=linalg._bareiss_core) as core:
+    # Bareiss elimination gives rank(M) and that kernel vector; one sparse
+    # elimination of A's integer rows gives rank(A).
+    with mock.patch.object(linalg, "_bareiss_core", wraps=linalg._bareiss_core) as core, \
+         mock.patch.object(designs, "sparse_rank", wraps=linalg.sparse_rank) as sparse:
         f, cert = certified_vanishing_poly(pointset_from(pts, field), 4)
     assert f is not None and cert.rank_m == 5
-    assert core.call_count == 2
+    assert core.call_count == 1 and sparse.call_count == 1
 
 
 def test_unit_kernel_vector_keeps_rational_entries_over_gaussian():

@@ -146,21 +146,26 @@ class DesignMatrix:
     t: int
     cover: TupleCover | None = None
 
+    def _checked_entries(self):
+        """The ((i, j), v) entries; one outside rows x cols raises ValueError."""
+        for (i, j), v in self.entries.items():
+            if not (0 <= i < self.rows and 0 <= j < self.cols):
+                raise ValueError(f"entry ({i}, {j}) outside {self.rows} x {self.cols}")
+            yield (i, j), v
+
     def to_matrix(self) -> Matrix:
         z = Fraction(0)
         data = [[z] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self._checked_entries():
             data[i][j] = v
         return Matrix(data)
 
     def rank(self) -> int:
         """rank(A) by `sparse_rank` of its rows, each cleared to (Gaussian)
-        integers; an entry outside rows x cols raises ValueError."""
+        integers."""
         gaussian = any(isinstance(v, GaussianRational) for v in self.entries.values())
         rows = [{} for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"entry ({i}, {j}) outside {self.rows} x {self.cols}")
+        for (i, j), v in self._checked_entries():
             rows[i][j] = v
         return sparse_rank([dict(zip(r, integer_vector(r.values(), gaussian)[0]))
                             for r in rows], gaussian)
@@ -170,7 +175,7 @@ class DesignMatrix:
             raise ValueError("dimension mismatch")
         z = Fraction(0)
         out = [[z] * M.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self._checked_entries():
             row = M.row(j)
             acc = out[i]
             for c in range(M.cols):

@@ -1,15 +1,16 @@
 """Exact linear algebra over Q and Q(i): rank, RREF, nullspaces.
 
-Rank has one core, `sparse_rank`: fraction-free elimination over Z of rows
-held as {column: nonzero int}, each reduced only against the pivot rows that
-own its leading columns and divided by its content after every step.  A
-Q(i) matrix is realified per entry, x + iy to the block [[x, -y], [y, x]],
-so its rank over Q is twice its rank over Q(i).  `integer_rank` and
-`bareiss_rank` hand it dense integer and field matrices.  Dense Bareiss
-elimination (`_bareiss_core`) gives `first_kernel_vector` the rank and, by
-back-substitution in its echelon form, the first kernel vector.  A separate
-reduced-row-echelon routine, ordinary Gauss-Jordan over the field, provides
-nullspaces and doubles as an independent oracle for cross checks.
+One elimination, `_echelon`, does all the integer work: fraction-free
+elimination over Z of rows held as {column: nonzero int}, each reduced only
+against the pivot rows that own its leading columns and divided by its
+content after every step.  A Q(i) matrix is realified per entry, x + iy to
+the block [[x, -y], [y, x]], so its rank over Q is twice its rank over
+Q(i).  `sparse_rank` counts its pivots, and `bareiss_rank` hands it field
+matrices cleared to integers.  `first_kernel_vector` runs it on reversed
+columns and back-substitutes in the pivot rows for the first kernel vector.
+A separate reduced-row-echelon routine, ordinary Gauss-Jordan over the
+field, provides nullspaces and doubles as an independent oracle for cross
+checks.
 """
 
 from __future__ import annotations
@@ -65,52 +66,57 @@ class Matrix:
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of a dense matrix over Q or Q(i): each row is cleared to
-    (Gaussian) integers, which never changes the rank, and `integer_rank`
-    takes over; ragged rows raise ValueError."""
-    rows = [list(r) for r in rows]
-    gaussian = any(isinstance(x, GaussianRational) for r in rows for x in r)
-    return integer_rank([integer_vector(r, gaussian)[0] for r in rows], gaussian)
-
-
-def integer_rank(rows, gaussian: bool = False) -> int:
-    """Rank of a dense integer matrix ((re, im) pairs over Q(i)) by
-    `sparse_rank`; ragged rows raise ValueError."""
+    """Rank of a dense matrix over Q or Q(i) by `sparse_rank`: each row is
+    cleared to (Gaussian) integers, which never changes the rank; ragged rows
+    raise ValueError."""
     rows = [list(r) for r in rows]
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
-    return sparse_rank([dict(enumerate(r)) for r in rows], gaussian)
+    gaussian = any(isinstance(x, GaussianRational) for r in rows for x in r)
+    return sparse_rank([dict(enumerate(integer_vector(r, gaussian)[0])) for r in rows], gaussian)
 
 
 def sparse_rank(rows, gaussian: bool = False) -> int:
     """Rank of an integer matrix given as rows {column: entry}, with (re, im)
-    pairs over Q(i), realified (`_realified_sparse`); zero entries are dropped.
+    pairs over Q(i), realified (`_realified_sparse`); zero entries are
+    dropped.  The rank is the number of pivots of `_echelon`."""
+    return len(_echelon(_realified_sparse(rows) if gaussian else rows)) // (2 if gaussian else 1)
 
-    Rows enter the echelon form one by one.  A row whose leading (largest)
-    column already owns a pivot row b becomes p * row - f * b, with p and f
-    b's and the row's entries there, each divided by their gcd.  That column
-    cancels, so it is dropped rather than computed, and the row is then
-    divided by its content.  Otherwise the row takes the column as its
-    pivot.  Since p != 0 no step changes the span of the rows seen so far,
-    and the pivot rows, with distinct leading columns, are independent.  A
-    pivot row never changes, and a row meets only the pivot rows of columns
-    it holds.  Content removal keeps each row a primitive multiple of a
-    fixed rational vector, so its entries stay bounded by minors, as in
-    Bareiss.  The rank is the number of pivots.
+
+def _echelon(rows, width=None) -> dict:
+    """The pivot rows {leading column: (its entry, the row's other entries)}
+    of an echelon form of integer rows {column: int}, read no further than
+    the `width`-th pivot (a matrix with `width` columns has no more).
+
+    Rows enter one by one.  A row whose leading (largest) column already
+    owns a pivot row b becomes p * row - f * b, with p and f b's and the
+    row's entries there, each divided by their gcd.  That column cancels, so
+    it is dropped rather than computed, and the row is then divided by its
+    content.  Otherwise the row takes the column as its pivot.  Since p != 0
+    no step changes the span of the rows seen so far, and the pivot rows,
+    with distinct leading columns, are independent.  A pivot row never
+    changes, and a row meets only the pivot rows of columns it holds.
+    Content removal keeps each row a primitive multiple of a fixed rational
+    vector, so its entries stay bounded by minors, as in Bareiss.  Each row
+    is worked on as its own copy, so the caller's rows are left alone.
     """
-    pivots = {}  # leading column -> (its entry, the pivot row's other entries)
-    for row in _realified_sparse(rows) if gaussian else rows:
+    pivots = {}
+    for row in rows:
         row = {j: x for j, x in row.items() if x}
         while row:
             lead = max(row)
             f = row.pop(lead)
             if lead not in pivots:
                 pivots[lead] = f, row
+                if len(pivots) == width:
+                    return pivots
                 break
             p, b = pivots[lead]
             g = gcd(p, f)
             p, f = p // g, f // g
-            row = {j: p * x for j, x in row.items()}
+            if p != 1:
+                for j in row:
+                    row[j] *= p
             for j, y in b.items():
                 x = row.get(j, 0) - f * y
                 if x:
@@ -119,66 +125,26 @@ def sparse_rank(rows, gaussian: bool = False) -> int:
                     del row[j]
             g = gcd(*row.values())
             if g > 1:
-                row = {j: x // g for j, x in row.items()}
-    return len(pivots) // (2 if gaussian else 1)
+                for j in row:
+                    row[j] //= g
+    return pivots
 
 
-def _realified(rows) -> list:
-    """Each row of (re, im) pairs x + iy as two real rows, the entry becoming
-    the block [[x, -y], [y, x]]: columns 2j and 2j + 1 carry the real and
-    imaginary parts of unknown j, and the rank over Q doubles."""
-    return [h for r in rows for h in ([z for x, y in r for z in (x, -y)],
-                                      [z for x, y in r for z in (y, x)])]
-
-
-def _realified_sparse(rows) -> list:
-    """`_realified` for rows {column j: (x, y)}, as rows {column: int}."""
-    out = []
+def _realified_sparse(rows):
+    """Each row {column j: (x, y)} of x + iy as two rows {column: int}, the
+    entry becoming the block [[x, -y], [y, x]]: columns 2j and 2j + 1 carry
+    the real and imaginary parts of unknown j, and the rank over Q doubles."""
     for r in rows:
-        out.append({k: v for j, (x, y) in r.items() for k, v in ((2 * j, x), (2 * j + 1, -y))})
-        out.append({k: v for j, (x, y) in r.items() for k, v in ((2 * j, y), (2 * j + 1, x))})
-    return out
-
-
-def _bareiss_core(a) -> tuple[int, int]:
-    """(rank, first column without a pivot) of an integer matrix, which is
-    left in fraction-free row echelon form; every division in the recurrence
-    is exact.  The first free column is the column count when there is none."""
-    m, n = len(a), len(a[0]) if a else 0
-    prev = 1
-    rank = 0
-    free = None
-    for col in range(n):
-        if rank == m:
-            break
-        piv = None
-        for i in range(rank, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            if free is None:
-                free = col
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        ar = a[rank]
-        for i in range(rank + 1, m):
-            ai = a[i]
-            f = ai[col]
-            for j in range(col, n):
-                ai[j] = (p * ai[j] - f * ar[j]) // prev
-        prev = p
-        rank += 1
-    return rank, rank if free is None else free
+        yield {k: v for j, (x, y) in r.items() for k, v in ((2 * j, x), (2 * j + 1, -y))}
+        yield {k: v for j, (x, y) in r.items() for k, v in ((2 * j, y), (2 * j + 1, x))}
 
 
 def rref(rows):
     """Reduced row echelon form by ordinary Gauss-Jordan over the field.
 
     Returns (reduced rows, pivot column list).  Kept deliberately separate
-    from the Bareiss routine so the two can certify each other.
+    from the integer elimination `_echelon` so the two can certify each
+    other.
     """
     a = [list(r) for r in rows]
     if not a or not a[0]:
@@ -271,30 +237,40 @@ def annihilates(rows, w, gaussian: bool = False) -> bool:
 
 def first_kernel_vector(rows, scales, gaussian: bool = False):
     """(rank M, right_nullspace(M)[0] or None) for M = rows * diag(scales)^-1
-    with integer rows ((re, im) pairs over Q(i)), from one Bareiss
-    elimination of the rows (realified over Q(i)) and no field arithmetic.
+    with integer rows ((re, im) pairs over Q(i)), from one `_echelon` of the
+    rows (realified over Q(i)) and no field arithmetic.
 
-    Bareiss never changes a row after it has taken its pivot, so with c the
-    first free column the top c rows of the echelon form hold the triangular
-    system of columns 0..c, whose leading minor is det = a[c-1][c-1].  By
-    Cramer's rule back-substitution for w with w_c = det divides exactly, and
-    w is supported on the pivots before c and on c: diag(scales) * w is the
-    first RREF vector up to scale.  Over Q(i) the first free realified column
-    is even, 2c, and w_c = (det, 0).  rows * w = 0 is checked in integers.
+    The columns enter `_echelon` reversed, so each pivot row leads at its
+    leftmost column of M and holds entries only to its right.  With c the
+    first column without a pivot, the pivot rows of the columns before c
+    form a triangular system, and back-substitution from w_c = 1, scaling w
+    to keep it integral, gives the w supported on those columns and c with
+    rows * w = 0.  The pivot rows span the rows, and the columns before c
+    are independent, so diag(scales) * w is the first RREF vector up to
+    scale.  Over Q(i) the first free realified column is even, 2c, and
+    w_c = (1, 0).  rows * w = 0 is checked in integers.
     """
     cols = len(scales)
-    a, k = (_realified(rows), 2) if gaussian else ([list(r) for r in rows], 1)
-    rank, m = _bareiss_core(a)
-    rank, c = rank // k, m // k
+    k = 2 if gaussian else 1
+    last = k * cols - 1
+    sparse = map(dict, map(enumerate, rows))
+    pivots = _echelon(({last - j: x for j, x in r.items()}
+                       for r in (_realified_sparse(sparse) if gaussian else sparse)), last + 1)
+    m = next((j for j in range(last + 1) if last - j not in pivots), last + 1)
+    rank, c = len(pivots) // k, m // k
     if c == cols:
         return rank, None
-    det = a[m - 1][m - 1] if m else 1
-    z = [0] * m + [det]
+    z = [0] * m + [1]
     for j in reversed(range(m)):
-        z[j] = -sum(map(operator.mul, a[j][j + 1 : m + 1], z[j + 1 :])) // a[j][j]
-    w = list(zip(z[::2], z[1::2])) + [(det, 0)] if gaussian else z
+        p, b = pivots[last - j]
+        s = sum(y * z[last - i] for i, y in b.items() if last - i <= m)
+        g = gcd(p, s)
+        if p != g:
+            z[j + 1:] = [x * (p // g) for x in z[j + 1:]]
+        z[j] = -s // g
+    w = list(zip(z[::2], z[1::2] + [0])) if gaussian else z
     if not annihilates(rows, w, gaussian):
-        raise ArithmeticError("Bareiss kernel vector fails M_int w = 0")
+        raise ArithmeticError("echelon kernel vector fails M_int w = 0")
     if gaussian and not any(x or y for x, y in w[:c]):
         w, gaussian = [0] * c + [1], False  # RREF gives a unit vector in Fractions
     v = [GaussianRational(x[0] * s, x[1] * s) if gaussian else Fraction(x * s)

@@ -137,7 +137,7 @@ def certified_vanishing_poly(
     basis_size = monomial_count(d, r - 2)
     deficient = rank_m < basis_size
     if (f is not None) != deficient:
-        raise ArithmeticError(f"Bareiss rank {rank_m} of M and its first kernel vector disagree")
+        raise ArithmeticError(f"rank {rank_m} of M and its first kernel vector disagree")
     cert = DesignCertificate(
         r=r,
         degree=r - 2,

@@ -1,9 +1,9 @@
-"""Differential tests of `linalg.first_kernel_vector` and `linalg.integer_rank`
+"""Differential tests of `linalg.first_kernel_vector` and `linalg.sparse_rank`
 on integer images.
 
 The routine finds rank(M) and the first RREF kernel vector of
-M = M_int * diag(s)^-1 from one Bareiss elimination of M_int and a
-back-substitution in its echelon form.  It is checked here, by
+M = M_int * diag(s)^-1 from one sparse elimination (`_echelon`) of M_int,
+its columns reversed, and a back-substitution in the pivot rows.  It is checked here, by
 `format_scalar` bytes (so the scalar types too), against `right_nullspace`
 of the field matrix, and its rank against `rref_rank`: on Veronese matrices
 of Q and Q(i) point sets, and on matrices whose columns are dependent modulo
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from richlines import designs, linalg
 from richlines.incidence import max_hyperplane_subset
-from richlines.linalg import first_kernel_vector, integer_rank, right_nullspace, rref_rank
+from richlines.linalg import first_kernel_vector, right_nullspace, rref_rank, sparse_rank
 from richlines.pointsets import pointset_from
 from richlines.scalars import FIELD_GAUSSIAN, FIELD_RATIONAL, GaussianRational, format_scalar
 from richlines.vanishing import certified_vanishing_poly, find_vanishing_poly
@@ -89,7 +89,7 @@ def test_integer_rank_of_the_image_is_the_field_rank(case):
     before = [list(r) for r in rows]
     gaussian = ps.field == FIELD_GAUSSIAN
     rank = rref_rank(veronese_matrix(ps, deg).row_list())
-    assert integer_rank(rows, gaussian) == rank
+    assert sparse_rank([dict(enumerate(r)) for r in rows], gaussian) == rank
     assert first_kernel_vector(rows, scales, gaussian)[0] == rank
     assert rows == before
 
@@ -144,13 +144,13 @@ _TWO_LINES = [
 @pytest.mark.parametrize("field, pts", _TWO_LINES)
 def test_one_certificate_eliminates_m_once(field, pts):
     # two 4-rich lines: y(y - 1) spans the kernel of the degree-2 M.  One
-    # Bareiss elimination gives rank(M) and that kernel vector; one sparse
-    # elimination of A's integer rows gives rank(A).
-    with mock.patch.object(linalg, "_bareiss_core", wraps=linalg._bareiss_core) as core, \
+    # elimination gives rank(M) and that kernel vector, and one more, of
+    # A's integer rows, gives rank(A).
+    with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as echelon, \
          mock.patch.object(designs, "sparse_rank", wraps=linalg.sparse_rank) as sparse:
         f, cert = certified_vanishing_poly(pointset_from(pts, field), 4)
     assert f is not None and cert.rank_m == 5
-    assert core.call_count == 1 and sparse.call_count == 1
+    assert echelon.call_count == 2 and sparse.call_count == 1
 
 
 def test_unit_kernel_vector_keeps_rational_entries_over_gaussian():

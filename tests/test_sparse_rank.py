@@ -1,13 +1,15 @@
 """Differential tests of the sparse rank core, `linalg.sparse_rank`.
 
-Over Q the core is checked against the rank of dense Bareiss elimination
-(`_bareiss_core`) and against field Gauss-Jordan (`rref_rank`); over Q(i)
-against Bareiss on the dense realification and `rref_rank` over Q(i).
+Over Q the core is checked against field Gauss-Jordan (`rref_rank`) of the
+matrix; over Q(i) against `rref_rank` of the dense realification and of the
+Q(i) matrix.  The elimination under it, `_echelon`, is checked to stop at
+its `width`-th pivot and to leave the caller's rows alone.
 `DesignMatrix.rank`, which hands the core its integer rows, is checked
 against `rref_rank` of the dense field matrix on assembled and random
-designs.
+designs, and its methods against entries outside the matrix.
 """
 
+import copy
 from fractions import Fraction
 from random import Random
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from richlines.designs import DesignMatrix, assemble_design, random_design_matrix
 from richlines.incidence import rich_lines
 from richlines.linalg import (
-    _bareiss_core, bareiss_rank, integer_rank, rref_rank, sparse_rank,
+    Matrix, _echelon, bareiss_rank, first_kernel_vector, rref_rank, sparse_rank,
 )
 from richlines.pointsets import grid, pasted_grids, pointset_from
 from richlines.scalars import GaussianRational
@@ -72,8 +74,8 @@ def integer_matrices(draw, gaussian: bool):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices(gaussian=False))
 def test_sparse_rank_matches_bareiss_and_rref_over_q(rows):
-    rank = integer_rank(rows)
-    assert rank == _bareiss_core([list(r) for r in rows])[0]
+    rank = sparse_rank([dict(enumerate(r)) for r in rows])
+    assert rank == bareiss_rank([[F(x) for x in r] for r in rows])
     assert rank == rref_rank([[F(x) for x in r] for r in rows])
 
 
@@ -86,9 +88,10 @@ def _dense_realified(rows):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices(gaussian=True))
 def test_sparse_rank_matches_bareiss_and_rref_over_qi(rows):
-    rank = integer_rank(rows, True)
-    assert 2 * rank == _bareiss_core(_dense_realified(rows))[0]
+    rank = sparse_rank([dict(enumerate(r)) for r in rows], True)
+    assert 2 * rank == rref_rank([[F(x) for x in r] for r in _dense_realified(rows)])
     assert rank == rref_rank([[G(x, y) for x, y in r] for r in rows])
+    assert rank == bareiss_rank([[G(x, y) for x, y in r] for r in rows])
 
 
 def test_sparse_rank_reads_dict_rows_and_leaves_them_alone():
@@ -99,17 +102,51 @@ def test_sparse_rank_reads_dict_rows_and_leaves_them_alone():
     assert sparse_rank([{0: (1, 1)}, {0: (0, 2)}, {1: (3, 0)}], True) == 2
 
 
+def test_echelon_reads_no_row_after_the_width_th_pivot():
+    rows = [{0: 1}, {0: 2}, {1: 2, 0: 1}, {1: 1}, {0: 5}]
+    left = iter(rows)
+    assert sorted(_echelon(left, 2)) == [0, 1]
+    assert list(left) == rows[3:]
+    left = iter(rows)
+    assert len(_echelon(left)) == 2 and list(left) == []
+    # full column rank: the kernel search stops there too, over Q and Q(i)
+    left = iter([[1, 0], [0, 1], [1, 1], [2, 3]])
+    assert first_kernel_vector(left, [1, 1]) == (2, None)
+    assert list(left) == [[1, 1], [2, 3]]
+    left = iter([[(1, 0), (0, 0)], [(0, 1), (1, 1)], [(1, 1), (1, 0)]])
+    assert first_kernel_vector(left, [1, 1], True) == (2, None)
+    assert list(left) == [[(1, 1), (1, 0)]]
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_elimination_leaves_the_callers_rows_alone(gaussian):
+    # each row after the first is scaled (p != 1), reduced and divided by
+    # its content, whichever end the elimination leads from
+    ints = [[2, 4, 6], [3, 5, 7], [5, 9, 13], [0, 6, 9], [4, 0, 2]]
+    rows = [[(x, x - 1) for x in r] for r in ints] if gaussian else ints
+    dicts = [dict(enumerate(r)) for r in rows]
+    field = [[G(*x) if gaussian else F(x) for x in r] for r in rows]
+    before = copy.deepcopy((rows, dicts, field))
+    rank = rref_rank(field)
+    assert sparse_rank(dicts, gaussian) == rank
+    assert bareiss_rank(field) == rank
+    assert first_kernel_vector(rows, [1, 2, 3], gaussian)[0] == rank
+    if not gaussian:
+        assert len(_echelon(dicts, 3)) == rank
+    assert (rows, dicts, field) == before
+
+
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
 def test_ragged_rows_are_rejected(rows):
     with pytest.raises(ValueError, match="^ragged rows$"):
-        integer_rank(rows)
+        bareiss_rank(rows)
     with pytest.raises(ValueError, match="^ragged rows$"):
         bareiss_rank([[F(x) for x in r] for r in rows])
 
 
 def test_ragged_gaussian_rows_are_rejected():
     with pytest.raises(ValueError, match="^ragged rows$"):
-        integer_rank([[(1, 0), (0, 1)], [(2, 2)]], True)
+        bareiss_rank([[G(1, 0), G(0, 1)], [G(2, 2)]])
     with pytest.raises(ValueError, match="^ragged rows$"):
         bareiss_rank([[G(1, 1), F(2)], [F(3)]])
 
@@ -119,6 +156,15 @@ def test_design_rank_rejects_entries_outside_the_matrix(key):
     A = DesignMatrix(2, 2, {(0, 0): F(1), (1, 1): F(2), key: F(3)}, 2, 1, 1)
     with pytest.raises(ValueError, match="outside 2 x 2"):
         A.rank()
+
+
+@pytest.mark.parametrize("key", [(0, 5), (1, -1)])
+@pytest.mark.parametrize("method", ["to_matrix", "product_with"])
+def test_design_methods_reject_entries_outside_the_matrix(method, key):
+    A = DesignMatrix(2, 2, {(0, 0): F(1), (1, 1): F(2), key: F(3)}, 2, 1, 1)
+    args = (Matrix([[F(1)], [F(2)]]),) if method == "product_with" else ()
+    with pytest.raises(ValueError, match=rf"^entry \({key[0]}, {key[1]}\) outside 2 x 2$"):
+        getattr(A, method)(*args)
 
 
 def _q_image(ps):
